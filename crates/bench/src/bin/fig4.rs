@@ -115,7 +115,7 @@ fn main() {
                     std::process::exit(2);
                 }
             };
-            let doc = match commscope::Json::parse(&text) {
+            let doc = match commint::json::parse(&text) {
                 Ok(d) => d,
                 Err(e) => {
                     eprintln!("[overlay] cannot parse {path}: {e}");

@@ -32,7 +32,7 @@
 use std::time::Instant;
 
 use bench::{
-    arg_str, arg_usize, default_jobs, emit_json_report, render_stats, sweep, BenchReport,
+    arg_str, arg_usize, default_jobs, emit_json_report, render_stats, sweep, BenchReport, Json,
     SeriesReport,
 };
 use commint::buffer::{CompositeLayout, Described, FieldDef, NestedField};
@@ -345,7 +345,7 @@ fn profile_observed(
     nranks: usize,
     iters: usize,
     exec: ExecPolicy,
-) -> commscope::Json {
+) -> Json {
     let res = run(
         SimConfig::new(nranks)
             .with_exec(exec)

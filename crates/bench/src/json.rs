@@ -1,7 +1,7 @@
 //! Machine-readable benchmark reports: the `--json` report schema shared by
 //! the figure binaries and baseline comparison for the CI perf-smoke gate.
-//! The JSON value type itself lives in [`commscope::json`] (shared with the
-//! profiler's exporters) and is re-exported here.
+//! The JSON value type itself is the workspace codec, [`commint::json`],
+//! re-exported here.
 //!
 //! Schema (stable; bump `schema` on breaking changes):
 //!
@@ -31,7 +31,7 @@
 
 use netsim::RankStats;
 
-pub use commscope::json::Json;
+pub use commint::json::Json;
 
 /// The deterministic (virtual-quantity) subset of [`RankStats`] that goes
 /// into reports; order is the schema's field order.
@@ -278,7 +278,7 @@ pub fn compare_with_baseline(report: &BenchReport, baseline_text: &str) -> Basel
         errors: Vec::new(),
         warnings: Vec::new(),
     };
-    let parsed = match Json::parse(baseline_text) {
+    let parsed = match commint::json::parse(baseline_text) {
         Ok(p) => p,
         Err(e) => {
             diff.errors.push(format!("baseline unparsable: {e}"));
@@ -401,7 +401,7 @@ mod tests {
     fn report_roundtrip_is_exact() {
         let r = sample_report();
         let text = r.to_json().render();
-        let back = BenchReport::from_json(&Json::parse(&text).unwrap()).unwrap();
+        let back = BenchReport::from_json(&commint::json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, r);
     }
 
@@ -413,7 +413,7 @@ mod tests {
         assert!(text.contains("\"contention\": [3, 120, 240]"));
         // Pre-contention reports parse with zeros.
         let legacy = text.replace(",\n      \"contention\": [3, 120, 240]", "");
-        let back = BenchReport::from_json(&Json::parse(&legacy).unwrap());
+        let back = BenchReport::from_json(&commint::json::parse(&legacy).unwrap());
         match back {
             Ok(b) => assert_eq!(b.series[0].contention, [0, 0, 0]),
             Err(e) => panic!("legacy report rejected: {e}"),
@@ -475,7 +475,7 @@ mod tests {
             .replace(",\n        \"race_checks\": 13", "")
             .replace(",\n        \"conflicts_found\": 0", "");
         assert!(!legacy.contains("race_checks"), "replace missed: {legacy}");
-        let back = BenchReport::from_json(&Json::parse(&legacy).unwrap()).unwrap();
+        let back = BenchReport::from_json(&commint::json::parse(&legacy).unwrap()).unwrap();
         assert_eq!(back.series[0].stats[12], 0);
         assert_eq!(back.series[0].stats[13], 0);
     }

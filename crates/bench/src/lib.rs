@@ -67,7 +67,7 @@ pub fn emit_observability(
     obs: &wl_lsms::Observed,
     trace_out: Option<&str>,
     profile: Option<&str>,
-    tuning: Option<&commscope::Json>,
+    tuning: Option<&Json>,
 ) {
     if trace_out.is_none() && profile.is_none() {
         return;

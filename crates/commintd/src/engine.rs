@@ -57,8 +57,9 @@ use commint::cas::{fnv1a64, ArtifactKind, Fnv64, Key, Stats, Store};
 use commint::diag::{lint_region_at, Diag, LintCode, SrcSpan};
 use commint::dir::ParamsSpec;
 use commint::expr::VarTable;
+use commint::json::escape;
 use commlint::hash::{env_hash, split_regions_tokens, structural_hash_tokens, RegionChunk};
-use commlint::json::{escape, render_json};
+use commlint::json::render_json;
 use commlint::{
     apply_decls, assemble_lint_report, lint_parsed, parse_diags, region_view, scan_annotations,
     LintOptions, LintReport, RankRange,

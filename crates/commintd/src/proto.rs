@@ -22,8 +22,7 @@
 
 use std::io::{self, Read, Write};
 
-use commlint::json::escape;
-use commprove::jsonv::{self, JValue};
+use commint::json::{self, escape, Json};
 
 use crate::engine::Engine;
 
@@ -85,9 +84,9 @@ pub struct Request {
 /// Parse a request frame.
 pub fn parse_request(bytes: &[u8]) -> Result<Request, String> {
     let text = std::str::from_utf8(bytes).map_err(|_| "request is not UTF-8".to_string())?;
-    let v = jsonv::parse(text).map_err(|e| format!("bad request JSON: {e}"))?;
+    let v = json::parse(text).map_err(|e| format!("bad request JSON: {e}"))?;
     let version = match v.get("v") {
-        Some(JValue::Int(n)) => *n as u64,
+        Some(Json::Int(n)) => *n as u64,
         _ => return Err("missing protocol version `v`".to_string()),
     };
     if version != PROTO_VERSION {
@@ -101,8 +100,8 @@ pub fn parse_request(bytes: &[u8]) -> Result<Request, String> {
         .ok_or_else(|| "missing `op`".to_string())?
         .to_string();
     let id = match v.get("id") {
-        Some(JValue::Int(n)) => Some(*n),
-        Some(JValue::Null) | None => None,
+        Some(Json::Int(n)) => Some(*n),
+        Some(Json::Null) | None => None,
         Some(_) => return Err("`id` must be an integer".to_string()),
     };
     let needs_src = op != "stats";
@@ -244,6 +243,8 @@ pub fn request_json(op: &str, id: i64, file: &str, src: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use commlint::LintOptions;
+    use pragma_front::SymbolTable;
 
     #[test]
     fn frames_round_trip() {
@@ -277,5 +278,17 @@ mod tests {
         assert!(parse_request(b"not json").is_err());
         let stats = parse_request(b"{ \"v\": 1, \"op\": \"stats\" }").unwrap();
         assert_eq!(stats.op, "stats");
+    }
+
+    #[test]
+    fn deeply_nested_frames_get_an_error_frame() {
+        let engine = Engine::new(SymbolTable::new(), LintOptions::default(), None);
+        for frame in ["[".repeat(1 << 20), "{\"a\":".repeat(100_000)] {
+            let resp = handle(&engine, frame.as_bytes());
+            let v = json::parse(&resp).expect("the error frame is JSON");
+            assert_eq!(v.get("ok"), Some(&Json::Bool(false)), "{resp}");
+            assert!(v.get("id").is_some_and(Json::is_null), "{resp}");
+            assert!(resp.contains("nesting deeper than"), "{resp}");
+        }
     }
 }

@@ -33,32 +33,18 @@
 //! ```
 //!
 //! Output is pretty-printed with two-space indent and a trailing newline so
-//! golden files diff cleanly.
+//! golden files diff cleanly. The layout (inline `span`/`ranks`/`witness`
+//! objects inside block objects) is laid out by hand here; strings are
+//! escaped by the shared codec, [`commint::json::escape`].
 
 use commint::clause::Severity;
 use commint::diag::Verification;
+use commint::json::escape;
 
 use crate::LintReport;
 
 /// Schema version of the JSON document.
 pub const SCHEMA: u32 = 2;
-
-/// Minimal JSON string escaping (control chars, quote, backslash).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Render a [`Verification`] as a one-line JSON object (`null` if absent).
 /// Shared with `commprove`, which emits the same per-diagnostic shape.
@@ -177,12 +163,6 @@ mod tests {
     use super::*;
     use crate::{lint_source, LintOptions, RankRange};
     use pragma_front::SymbolTable;
-
-    #[test]
-    fn escaping_covers_specials() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
-    }
 
     #[test]
     fn json_document_shape() {

@@ -16,7 +16,7 @@ use std::fmt;
 
 use commint::clause::Severity;
 use commint::diag::{LintCode, SrcSpan};
-use commlint::json::escape;
+use commint::json::escape;
 use commlint::RankRange;
 
 /// Certificate schema version (kept in lockstep with the commlint JSON

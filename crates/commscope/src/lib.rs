@@ -13,13 +13,14 @@
 //! * [`chrome`] — Chrome `trace_event` JSON (Perfetto-loadable), one track
 //!   per rank, with message flow arrows.
 //! * [`profile`] — a stable, integer-only profile JSON document.
+//!
+//! Every document is built and read with the workspace codec,
+//! [`commint::json`].
 //! * [`folded`] — flamegraph folded stacks of virtual time.
 //! * [`diff`] — differential profiling: join two profiles on the SiteId
 //!   namespace and emit per-site deltas with exact accounting.
 //! * [`trend`] — run-history trajectory over the bench ledger
 //!   (`results/LEDGER.jsonl`) with regression detection.
-//! * [`json`] — the workspace's serde-free JSON value type (re-exported by
-//!   `bench`).
 //!
 //! Everything here is a pure function of virtual quantities, so every
 //! export is byte-identical across `ExecPolicy::threads()`,
@@ -33,7 +34,6 @@ pub mod analysis;
 pub mod chrome;
 pub mod diff;
 pub mod folded;
-pub mod json;
 pub mod profile;
 pub mod trend;
 
@@ -44,7 +44,6 @@ pub use analysis::{
 pub use chrome::chrome_trace;
 pub use diff::{diff_is_zero, diff_profiles, render_diff_text, validate_diff, DIFF_SCHEMA};
 pub use folded::folded_stacks;
-pub use json::Json;
 pub use profile::{
     profile_json, profile_json_tuned, validate_profile, PROFILE_SCHEMA, UNATTRIBUTED_SITE,
 };

@@ -23,9 +23,10 @@
 //! `trend` renders the run-history trajectory from the bench ledger and
 //! flags regressions against the mean of the last K prior entries.
 
+use commint::json::{self, Json};
 use commscope::{
     analyze, chrome_trace, diff_is_zero, diff_profiles, folded_stacks, parse_ledger, profile_json,
-    render_diff_text, render_trend_text, trend, validate_diff, validate_profile, Json,
+    render_diff_text, render_trend_text, trend, validate_diff, validate_profile,
 };
 use netsim::ExecPolicy;
 use wl_lsms::{
@@ -64,7 +65,7 @@ fn read_json(path: &str) -> Json {
         eprintln!("cannot read {path}: {e}");
         std::process::exit(2);
     });
-    Json::parse(&text).unwrap_or_else(|e| {
+    json::parse(&text).unwrap_or_else(|e| {
         eprintln!("{path}: invalid JSON: {e}");
         std::process::exit(2);
     })
@@ -292,7 +293,7 @@ fn main() {
     if let Some(path) = arg_str(&args, "--trace-out") {
         let text = chrome_trace(&obs.trace, nranks);
         if check {
-            match Json::parse(&text) {
+            match json::parse(&text) {
                 Ok(doc) if doc.get("traceEvents").and_then(|v| v.as_arr()).is_some() => {}
                 Ok(_) => {
                     eprintln!("[check] trace JSON missing traceEvents array");

@@ -1,13 +1,13 @@
 //! The stable profile JSON: per-rank and per-site metrics, the wait-state
 //! decomposition with blame attribution, and the critical path, rendered
-//! through [`crate::json::Json`] with exact integers only. Every value is a
+//! through [`commint::json::Json`] with exact integers only. Every value is a
 //! pure function of virtual time, so profiles are byte-identical across
 //! execution engines and sweep widths — CI diffs them directly.
 
 use netsim::{Hist, RankMetrics};
 
 use crate::analysis::{Analysis, WaitKind};
-use crate::json::Json;
+use commint::json::Json;
 
 /// Schema version of the profile document.
 ///
@@ -385,7 +385,7 @@ mod tests {
         m.on_sync(Time(10), Time(50));
         let doc = profile_json("demo", &[("m".into(), 4)], &a, &[m]);
         let text = doc.render();
-        let back = Json::parse(&text).unwrap();
+        let back = commint::json::parse(&text).unwrap();
         assert_eq!(back, doc);
         assert!(
             validate_profile(&back).is_empty(),
@@ -427,7 +427,7 @@ mod tests {
 
     #[test]
     fn validator_flags_blame_mismatch() {
-        let doc = Json::parse(
+        let doc = commint::json::parse(
             r#"{"schema": 1, "workload": "x", "args": {}, "ranks": 1,
                 "makespan_ns": 10,
                 "wait": {"per_rank": [{"rank": 0, "total_wait_ns": 5, "blame": [4]}]},

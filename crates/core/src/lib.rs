@@ -61,6 +61,7 @@ pub mod diag;
 pub mod dir;
 pub mod expr;
 pub mod interval;
+pub mod json;
 pub mod lower;
 pub mod macros;
 pub mod nf;

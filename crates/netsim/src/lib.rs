@@ -51,6 +51,7 @@ pub mod progress;
 pub mod runtime;
 pub mod sanitize;
 pub mod sched;
+pub mod splitmix;
 pub mod time;
 pub mod trace;
 
@@ -64,5 +65,6 @@ pub use progress::{ProgressBoard, RankProgress, Snapshot, WatchCfg};
 pub use runtime::{run, ExecPolicy, RankCtx, SimConfig, SimResult};
 pub use sanitize::{Conflict, SanitizeReport, Sanitizer};
 pub use sched::Scheduler;
+pub use splitmix::{mix64, SplitMix64};
 pub use time::Time;
 pub use trace::{EventKind, MailboxHotStats, RankStats, SiteId, TraceEvent, TraceSink};

@@ -20,6 +20,7 @@ use crate::msg::{RecvDone, RecvRequest, SendRequest, SrcSel, TagSel, WireCosts};
 use crate::progress::{ProgressBoard, Snapshot, WatchCfg};
 use crate::sanitize::{SanitizeReport, Sanitizer};
 use crate::sched::Scheduler;
+use crate::splitmix::{mix64, SplitMix64};
 use crate::time::Time;
 use crate::trace::{EventKind, RankStats, SiteId, TraceEvent, TraceSink};
 
@@ -406,14 +407,12 @@ where
 /// Deterministic per-message jitter source (splitmix64 over the message
 /// identity) — reproducible non-uniform latencies.
 fn deterministic_jitter(a: u64, b: u64, c: u64, d: u64) -> u64 {
-    let mut z = a
-        .wrapping_mul(0x9E3779B97F4A7C15)
-        .wrapping_add(b.rotate_left(17))
-        .wrapping_add(c.rotate_left(33))
-        .wrapping_add(d.rotate_left(49));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
+    mix64(
+        a.wrapping_mul(SplitMix64::GAMMA)
+            .wrapping_add(b.rotate_left(17))
+            .wrapping_add(c.rotate_left(33))
+            .wrapping_add(d.rotate_left(49)),
+    )
 }
 
 /// Per-rank execution context: identity, virtual clock, fabric access, and

@@ -20,7 +20,7 @@
 
 use commint::buffer::{Prim, PrimMut};
 use commint::{CommParams, CommSession, DirectiveError, RankExpr, Target};
-use netsim::RankCtx;
+use netsim::{RankCtx, SplitMix64};
 
 use crate::atom::AtomData;
 use crate::core_states::{calculate_core_states, CoreStateParams};
@@ -375,8 +375,8 @@ fn staged_first(staged: &[[f64; 3]]) -> [f64; 3] {
 }
 
 /// Deterministic per-step spin generator (the Wang–Landau proposal). The
-/// WL master fills `ev`; a splitmix-style hash keeps it reproducible
-/// without a stateful RNG.
+/// WL master fills `ev`; a SplitMix64 stream seeded per index keeps it
+/// reproducible without shared RNG state.
 pub fn generate_spins(step: u64, count: usize) -> Vec<[f64; 3]> {
     (0..count).map(|i| spin_at(step, i)).collect()
 }
@@ -385,21 +385,15 @@ pub fn generate_spins(step: u64, count: usize) -> Vec<[f64; 3]> {
 /// independently, so verifying one rank's spin does not require
 /// regenerating the whole configuration.
 pub fn spin_at(step: u64, i: usize) -> [f64; 3] {
-    let mut z = step
-        .wrapping_mul(0x9E3779B97F4A7C15)
-        .wrapping_add(i as u64)
-        .wrapping_add(0x5851F42D4C957F2D);
-    let mut next = || {
-        z = z.wrapping_add(0x9E3779B97F4A7C15);
-        let mut x = z;
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-        x ^ (x >> 31)
-    };
+    let mut rng = SplitMix64(
+        step.wrapping_mul(SplitMix64::GAMMA)
+            .wrapping_add(i as u64)
+            .wrapping_add(0x5851F42D4C957F2D),
+    );
     // Marsaglia-style point on the unit sphere.
     loop {
-        let u = next() as f64 / u64::MAX as f64 * 2.0 - 1.0;
-        let v = next() as f64 / u64::MAX as f64 * 2.0 - 1.0;
+        let u = rng.next_u64() as f64 / u64::MAX as f64 * 2.0 - 1.0;
+        let v = rng.next_u64() as f64 / u64::MAX as f64 * 2.0 - 1.0;
         let s = u * u + v * v;
         if s > 0.0 && s < 1.0 {
             let f = 2.0 * (1.0 - s).sqrt();

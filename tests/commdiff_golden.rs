@@ -9,9 +9,10 @@
 
 use std::path::PathBuf;
 
+use commint::json::Json;
 use commscope::{
     analyze, diff_is_zero, diff_profiles, profile_json, render_diff_text, validate_diff,
-    validate_profile, Json,
+    validate_profile,
 };
 use netsim::{EventKind, RankMetrics, Time, TraceEvent};
 

@@ -16,7 +16,7 @@ use commint::clause::Severity;
 use commint::diag::{LintCode, Verification};
 use commlint::LintOptions;
 use commprove::cert::{Certificate, Verdict};
-use commprove::check::{check_source, parse_certificate};
+use commprove::check::{check_cert_bytes, check_source, parse_certificate};
 use commprove::{prove_source, render_prove_text, ProveReport, PROVED_CODES};
 use pragma_front::SymbolTable;
 
@@ -261,4 +261,20 @@ fn tampered_golden_certificates_are_rejected() {
     cert.regions[0].outcomes.clear();
     let errs = check_source(&src, &SymbolTable::new(), &LintOptions::default(), &cert);
     assert!(!errs.is_empty(), "forged certificate must be rejected");
+
+    // The schema has no floats: an integer field rewritten as `1.0` or
+    // `1e0` parses as JSON but is refused by the schema layer.
+    let opts = LintOptions::default();
+    assert!(check_cert_bytes(&src, &SymbolTable::new(), &opts, doc.as_bytes()).is_ok());
+    for float in ["1.0", "1e0"] {
+        let forged = doc.replacen("\"lcm\": 1,", &format!("\"lcm\": {float},"), 1);
+        assert_ne!(forged, doc);
+        let errs = check_cert_bytes(&src, &SymbolTable::new(), &opts, forged.as_bytes())
+            .expect_err("float in an integer field must be rejected");
+        assert_eq!(
+            errs,
+            ["region[0]: `lcm` is not a non-negative integer"],
+            "{float}"
+        );
+    }
 }

@@ -2,10 +2,13 @@
 //! edit sequences the daemon's responses must stay byte-identical to the
 //! batch CLIs, touching one region must never invalidate disjoint
 //! regions, and concurrent clients sharing one engine must all receive
-//! the same artifacts.
+//! the same artifacts. Hostile frames (truncated, mutated, non-UTF-8 or
+//! deeply nested) must always get a JSON response frame, never a crash.
 
+use std::path::PathBuf;
 use std::sync::Arc;
 
+use commintd::proto::{handle, request_json};
 use commintd::Engine;
 use commlint::json::render_json;
 use commlint::{lint_source, LintOptions};
@@ -174,4 +177,57 @@ proptest! {
             prop_assert_eq!(cert, &want_cert);
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every frame, however mangled, gets a response that is itself JSON:
+    /// garbage is answered with an `ok: false` frame, never a panic or a
+    /// stack overflow. Each edit is (kind, position, byte, depth).
+    #[test]
+    fn hostile_frames_always_get_a_json_response(
+        seed in any::<usize>(),
+        edits in proptest::collection::vec(
+            (0u8..4, any::<usize>(), any::<u8>(), 1usize..=200_000),
+            1..=3,
+        ),
+    ) {
+        let corpus = frame_corpus();
+        let mut frame = corpus[seed % corpus.len()].clone();
+        for (kind, at, byte, depth) in edits {
+            let at = at % (frame.len() + 1);
+            match kind {
+                0 => frame.truncate(at),
+                1 => frame.insert(at, 0xff), // never valid UTF-8
+                2 => {
+                    if let Some(b) = frame.get_mut(at) {
+                        *b = byte;
+                    }
+                }
+                _ => {
+                    let open: &[u8] = if byte % 2 == 0 { b"[" } else { b"{\"a\":" };
+                    frame.splice(at..at, open.repeat(depth));
+                }
+            }
+        }
+        let engine = Engine::new(SymbolTable::new(), LintOptions::default(), None);
+        let resp = handle(&engine, &frame);
+        prop_assert!(commint::json::parse(&resp).is_ok(), "{resp}");
+    }
+}
+
+/// Seed frames: the pinned protocol goldens plus one request per verb.
+fn frame_corpus() -> Vec<Vec<u8>> {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/intd_golden/golden");
+    let mut frames: Vec<Vec<u8>> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| std::fs::read(e.unwrap().path()).unwrap())
+        .collect();
+    frames.sort();
+    let src = spec_src(&[8, 16], 0);
+    for op in ["analyze", "prove", "diag", "stats"] {
+        frames.push(request_json(op, 7, "p.comm", &src).into_bytes());
+    }
+    frames
 }

@@ -16,7 +16,7 @@ use std::collections::BTreeSet;
 
 use commint::race::{analyze_ops, RaceOp, RaceProgram};
 use commint::LintCode;
-use netsim::{run, ExecPolicy, SanitizeReport, SimConfig};
+use netsim::{run, ExecPolicy, SanitizeReport, SimConfig, SplitMix64};
 
 /// Segment size used by every generated program.
 const SEG_BYTES: usize = 64;
@@ -28,25 +28,17 @@ const SEED: u64 = 0x1CE_B00DA;
 // -- deterministic RNG (no external deps) -----------------------------------
 
 /// SplitMix64: tiny, seedable, and good enough to drive a fuzzer.
-struct Rng(u64);
+struct Rng(SplitMix64);
 
 impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    }
-
     /// Uniform in `0..n`.
     fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
+        (self.0.next_u64() % n as u64) as usize
     }
 
     /// True with probability `num/den`.
     fn chance(&mut self, num: u64, den: u64) -> bool {
-        self.next() % den < num
+        self.0.next_u64() % den < num
     }
 }
 
@@ -230,7 +222,7 @@ fn sanitize_run(prog: &RaceProgram, exec: ExecPolicy) -> SanitizeReport {
 /// code-sets agree program-by-program. Returns (clean, racy) tallies so
 /// the corpus test can assert both populations are represented.
 fn sweep(exec: &ExecPolicy) -> (usize, usize) {
-    let mut rng = Rng(SEED);
+    let mut rng = Rng(SplitMix64(SEED));
     let (mut clean, mut racy_count) = (0usize, 0usize);
     for i in 0..PROGRAMS {
         let racy = i % 2 == 1;
@@ -276,7 +268,7 @@ fn corpus_agrees_under_bounded_engine() {
 /// interleaving-invariant inside the fragment.
 #[test]
 fn engines_agree_on_sanitizer_totals() {
-    let mut rng = Rng(SEED ^ 0xDEAD);
+    let mut rng = Rng(SplitMix64(SEED ^ 0xDEAD));
     for i in 0..24 {
         let prog = gen_program(&mut rng, i % 2 == 1);
         let a = sanitize_run(&prog, ExecPolicy::threads());
