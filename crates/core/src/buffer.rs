@@ -521,6 +521,15 @@ pub trait SendBuf {
     }
     /// Append `count` elements' packed bytes to `out`.
     fn gather(&self, count: usize, out: &mut Vec<u8>);
+    /// The form a `comm_p2p` holds this buffer in. Boxed by default;
+    /// primitive slices override it to stay inline, so building the
+    /// directive instance allocates nothing.
+    fn into_slot<'b>(self) -> SendSlot<'b>
+    where
+        Self: Sized + 'b,
+    {
+        SendSlot::Boxed(Box::new(self))
+    }
 }
 
 /// A receive-side buffer: write access plus metadata.
@@ -537,86 +546,209 @@ pub trait RecvBuf {
     }
     /// Fill `count` elements from packed bytes.
     fn scatter(&mut self, count: usize, packed: &[u8]);
+    /// The form a `comm_p2p` holds this buffer in (see
+    /// [`SendBuf::into_slot`]).
+    fn into_slot<'b>(self) -> RecvSlot<'b>
+    where
+        Self: Sized + 'b,
+    {
+        RecvSlot::Boxed(Box::new(self))
+    }
 }
 
-fn prim_meta<T: PrimElem>(name: &str, slice: &[T]) -> BufMeta {
-    let lo = slice.as_ptr() as usize;
+fn prim_desc(ty: BasicType, len: usize, bytes: &[u8]) -> BufDesc {
+    let lo = bytes.as_ptr() as usize;
+    BufDesc {
+        elem: ElemKind::Prim(ty),
+        len,
+        addr: (lo, lo + bytes.len()),
+    }
+}
+
+fn prim_meta(name: &str, ty: BasicType, len: usize, bytes: &[u8]) -> BufMeta {
+    let BufDesc { elem, len, addr } = prim_desc(ty, len, bytes);
     BufMeta {
         name: name.to_string(),
-        elem: ElemKind::Prim(T::BASIC),
-        len: slice.len(),
-        addr: (lo, lo + std::mem::size_of_val(slice)),
+        elem,
+        len,
+        addr,
     }
 }
 
-fn prim_desc<T: PrimElem>(slice: &[T]) -> BufDesc {
-    let lo = slice.as_ptr() as usize;
-    BufDesc {
-        elem: ElemKind::Prim(T::BASIC),
-        len: slice.len(),
-        addr: (lo, lo + std::mem::size_of_val(slice)),
-    }
+/// A send buffer as a `comm_p2p` holds it: primitive slices inline, every
+/// other buffer kind boxed.
+pub enum SendSlot<'a> {
+    /// A primitive slice.
+    Prim(Prim<'a>),
+    /// Any other buffer.
+    Boxed(Box<dyn SendBuf + 'a>),
 }
 
-/// A named primitive send buffer.
-pub struct Prim<'a, T: PrimElem> {
-    name: &'a str,
-    data: &'a [T],
-}
-
-impl<'a, T: PrimElem> Prim<'a, T> {
-    /// Wrap a primitive slice with a display name.
-    pub fn new(name: &'a str, data: &'a [T]) -> Self {
-        Prim { name, data }
-    }
-}
-
-impl<T: PrimElem> SendBuf for Prim<'_, T> {
+impl SendBuf for SendSlot<'_> {
     fn meta(&self) -> BufMeta {
-        prim_meta(self.name, self.data)
+        match self {
+            SendSlot::Prim(p) => p.meta(),
+            SendSlot::Boxed(b) => b.meta(),
+        }
     }
 
     fn desc(&self) -> BufDesc {
-        prim_desc(self.data)
+        match self {
+            SendSlot::Prim(p) => p.desc(),
+            SendSlot::Boxed(b) => b.desc(),
+        }
+    }
+
+    fn sub_ranges(&self) -> Option<&[(usize, usize)]> {
+        match self {
+            SendSlot::Prim(_) => None,
+            SendSlot::Boxed(b) => b.sub_ranges(),
+        }
     }
 
     fn gather(&self, count: usize, out: &mut Vec<u8>) {
-        assert!(
-            count <= self.data.len(),
-            "gather count exceeds buffer length"
-        );
-        out.extend_from_slice(as_bytes(&self.data[..count]));
+        match self {
+            SendSlot::Prim(p) => p.gather(count, out),
+            SendSlot::Boxed(b) => b.gather(count, out),
+        }
+    }
+
+    fn into_slot<'b>(self) -> SendSlot<'b>
+    where
+        Self: 'b,
+    {
+        self
     }
 }
 
-/// A named primitive receive buffer.
-pub struct PrimMut<'a, T: PrimElem> {
-    name: &'a str,
-    data: &'a mut [T],
+/// A receive buffer as a `comm_p2p` holds it (see [`SendSlot`]).
+pub enum RecvSlot<'a> {
+    /// A primitive slice.
+    Prim(PrimMut<'a>),
+    /// Any other buffer.
+    Boxed(Box<dyn RecvBuf + 'a>),
 }
 
-impl<'a, T: PrimElem> PrimMut<'a, T> {
-    /// Wrap a mutable primitive slice with a display name.
-    pub fn new(name: &'a str, data: &'a mut [T]) -> Self {
-        PrimMut { name, data }
-    }
-}
-
-impl<T: PrimElem> RecvBuf for PrimMut<'_, T> {
+impl RecvBuf for RecvSlot<'_> {
     fn meta(&self) -> BufMeta {
-        prim_meta(self.name, self.data)
+        match self {
+            RecvSlot::Prim(p) => p.meta(),
+            RecvSlot::Boxed(b) => b.meta(),
+        }
     }
 
     fn desc(&self) -> BufDesc {
-        prim_desc(self.data)
+        match self {
+            RecvSlot::Prim(p) => p.desc(),
+            RecvSlot::Boxed(b) => b.desc(),
+        }
+    }
+
+    fn sub_ranges(&self) -> Option<&[(usize, usize)]> {
+        match self {
+            RecvSlot::Prim(_) => None,
+            RecvSlot::Boxed(b) => b.sub_ranges(),
+        }
     }
 
     fn scatter(&mut self, count: usize, packed: &[u8]) {
-        assert!(
-            count <= self.data.len(),
-            "scatter count exceeds buffer length"
-        );
-        copy_exact(&mut self.data[..count], packed);
+        match self {
+            RecvSlot::Prim(p) => p.scatter(count, packed),
+            RecvSlot::Boxed(b) => b.scatter(count, packed),
+        }
+    }
+
+    fn into_slot<'b>(self) -> RecvSlot<'b>
+    where
+        Self: 'b,
+    {
+        self
+    }
+}
+
+/// A named primitive send buffer. The element type is erased to its
+/// [`BasicType`], so a `comm_p2p` holds it inline instead of boxing it.
+pub struct Prim<'a> {
+    name: &'a str,
+    ty: BasicType,
+    len: usize,
+    bytes: &'a [u8],
+}
+
+impl<'a> Prim<'a> {
+    /// Wrap a primitive slice with a display name.
+    pub fn new<T: PrimElem>(name: &'a str, data: &'a [T]) -> Self {
+        Prim {
+            name,
+            ty: T::BASIC,
+            len: data.len(),
+            bytes: as_bytes(data),
+        }
+    }
+}
+
+impl SendBuf for Prim<'_> {
+    fn meta(&self) -> BufMeta {
+        prim_meta(self.name, self.ty, self.len, self.bytes)
+    }
+
+    fn desc(&self) -> BufDesc {
+        prim_desc(self.ty, self.len, self.bytes)
+    }
+
+    fn gather(&self, count: usize, out: &mut Vec<u8>) {
+        assert!(count <= self.len, "gather count exceeds buffer length");
+        out.extend_from_slice(&self.bytes[..count * self.ty.size()]);
+    }
+
+    fn into_slot<'b>(self) -> SendSlot<'b>
+    where
+        Self: 'b,
+    {
+        SendSlot::Prim(self)
+    }
+}
+
+/// A named primitive receive buffer (element type erased, see [`Prim`]).
+pub struct PrimMut<'a> {
+    name: &'a str,
+    ty: BasicType,
+    len: usize,
+    bytes: &'a mut [u8],
+}
+
+impl<'a> PrimMut<'a> {
+    /// Wrap a mutable primitive slice with a display name.
+    pub fn new<T: PrimElem>(name: &'a str, data: &'a mut [T]) -> Self {
+        PrimMut {
+            name,
+            ty: T::BASIC,
+            len: data.len(),
+            bytes: as_bytes_mut(data),
+        }
+    }
+}
+
+impl RecvBuf for PrimMut<'_> {
+    fn meta(&self) -> BufMeta {
+        prim_meta(self.name, self.ty, self.len, self.bytes)
+    }
+
+    fn desc(&self) -> BufDesc {
+        prim_desc(self.ty, self.len, self.bytes)
+    }
+
+    fn scatter(&mut self, count: usize, packed: &[u8]) {
+        assert!(count <= self.len, "scatter count exceeds buffer length");
+        let n = count * self.ty.size();
+        self.bytes[..n].copy_from_slice(&packed[..n]);
+    }
+
+    fn into_slot<'b>(self) -> RecvSlot<'b>
+    where
+        Self: 'b,
+    {
+        RecvSlot::Prim(self)
     }
 }
 
@@ -1169,6 +1301,74 @@ mod tests {
         let mut rb = PrimMut::new("dst", &mut dst);
         rb.scatter(3, &packed);
         assert_eq!(dst, [1.5, 2.5, 3.5]);
+    }
+
+    /// The erased element type must carry every `PrimElem` through the
+    /// inline `comm_p2p` slot: metadata, gathered bytes and scatter
+    /// results, for empty slices and partial counts.
+    fn check_prim_slot<T: PrimElem + PartialEq + std::fmt::Debug>(vals: &[T], fill: T) {
+        for len in [0, 1, vals.len()] {
+            let data = &vals[..len];
+            let slot = Prim::new("src", data).into_slot();
+            assert!(matches!(slot, SendSlot::Prim(_)), "primitive stays inline");
+            let lo = data.as_ptr() as usize;
+            let want = BufMeta {
+                name: "src".into(),
+                elem: ElemKind::Prim(T::BASIC),
+                len,
+                addr: (lo, lo + std::mem::size_of_val(data)),
+            };
+            assert_eq!(slot.meta(), want);
+            assert_eq!(slot.desc(), BufDesc::from(want));
+            assert!(SendBuf::sub_ranges(&slot).is_none());
+            for count in 0..=len {
+                let mut packed = vec![0xAAu8];
+                slot.gather(count, &mut packed);
+                assert_eq!(
+                    packed[1..],
+                    *as_bytes(&data[..count]),
+                    "gather {count}/{len}"
+                );
+                let mut dst = vec![fill; len];
+                let mut rslot = PrimMut::new("dst", &mut dst).into_slot();
+                assert!(matches!(rslot, RecvSlot::Prim(_)), "primitive stays inline");
+                assert_eq!(rslot.meta().elem, ElemKind::Prim(T::BASIC));
+                assert_eq!(rslot.desc().len, len);
+                rslot.scatter(count, &packed[1..]);
+                drop(rslot);
+                assert_eq!(dst[..count], data[..count], "scatter {count}/{len}");
+                assert!(dst[count..].iter().all(|v| *v == fill));
+            }
+        }
+    }
+
+    #[test]
+    fn prim_slots_carry_every_elem_type() {
+        check_prim_slot(&[1u8, 2, 3, 250], 0);
+        check_prim_slot(&[-1i32, 7, i32::MAX], 0);
+        check_prim_slot(&[i64::MIN, 3, -9, 42, 5], 0);
+        check_prim_slot(&[1.5f32, -0.25, 3e9], 0.0);
+        check_prim_slot(&[2.5f64, -1e-300, 7.0], 0.0);
+    }
+
+    #[test]
+    fn non_primitive_buffers_are_boxed() {
+        let data = [0f64; 8];
+        assert!(matches!(
+            PrimStrided::new("s", &data, 1, 2).into_slot(),
+            SendSlot::Boxed(_)
+        ));
+        assert!(matches!(
+            Soa::new("g").field("a", &data).into_slot(),
+            SendSlot::Boxed(_)
+        ));
+        let mut out = [0f64; 8];
+        assert!(matches!(
+            SoaMut::new("g").field("a", &mut out).into_slot(),
+            RecvSlot::Boxed(_)
+        ));
+        let slot = Soa::new("g").field("a", &data).into_slot();
+        assert_eq!(SendBuf::sub_ranges(&slot).map(<[_]>::len), Some(1));
     }
 
     #[test]

@@ -21,7 +21,7 @@ use mpisim::dtype::DtypeCache;
 use mpisim::Comm;
 use netsim::{RankCtx, SegId, SendRequest, Time};
 
-use crate::buffer::{BufMeta, ElemKind, RecvBuf, SendBuf};
+use crate::buffer::{BufMeta, ElemKind, RecvBuf, RecvSlot, SendBuf, SendSlot};
 use crate::clause::{ClauseSet, Diagnostic, DirectiveKind, PlaceSync, Target};
 use crate::dir::{P2pSpec, ParamsSpec};
 use crate::expr::{CondExpr, EvalEnv, ExprError, RankExpr};
@@ -601,8 +601,7 @@ impl<'a> CommSession<'a> {
                 },
             );
             self.ctx.note_sync_span(t0, self.ctx.now());
-            let group = self.comm.sorted_globals();
-            self.ctx.barrier_group(&group, &mpi);
+            self.comm.barrier(self.ctx);
         }
 
         // SHMEM: quiet (sender-side put completion) plus point-wise
@@ -749,8 +748,8 @@ pub struct P2pCall<'r, 's, 'a, 'data> {
     /// inherited wholesale from the region) never overrides any.
     clauses: Option<Box<ClauseSet>>,
     site: u32,
-    sbufs: BufList<Box<dyn SendBuf + 'data>>,
-    rbufs: BufList<Box<dyn RecvBuf + 'data>>,
+    sbufs: BufList<SendSlot<'data>>,
+    rbufs: BufList<RecvSlot<'data>>,
 }
 
 impl<'r, 's, 'a, 'data> P2pCall<'r, 's, 'a, 'data> {
@@ -803,13 +802,13 @@ impl<'r, 's, 'a, 'data> P2pCall<'r, 's, 'a, 'data> {
 
     /// Add a send buffer (`sbuf` list element).
     pub fn sbuf(mut self, b: impl SendBuf + 'data) -> Self {
-        self.sbufs.push(Box::new(b));
+        self.sbufs.push(b.into_slot());
         self
     }
 
     /// Add a receive buffer (`rbuf` list element).
     pub fn rbuf(mut self, b: impl RecvBuf + 'data) -> Self {
-        self.rbufs.push(Box::new(b));
+        self.rbufs.push(b.into_slot());
         self
     }
 
@@ -824,7 +823,6 @@ impl<'r, 's, 'a, 'data> P2pCall<'r, 's, 'a, 'data> {
     }
 
     fn execute(mut self, body: impl FnOnce(&mut RankCtx)) -> Result<(), DirectiveError> {
-        let mut standalone_spec = ParamsSpec::default();
         let no_overrides = ClauseSet::default();
         let own_clauses: &ClauseSet = self.clauses.as_deref().unwrap_or(&no_overrides);
         let result = match &mut self.region {
@@ -858,33 +856,34 @@ impl<'r, 's, 'a, 'data> P2pCall<'r, 's, 'a, 'data> {
                     body,
                 )
             }
-            RegionRef::Standalone { session, pending } => execute_p2p(
-                session,
-                pending,
-                None,
-                None,
-                None,
-                Some(&mut standalone_spec),
-                None,
-                own_clauses,
-                self.site,
-                &self.sbufs,
-                &mut self.rbufs,
-                body,
-            ),
-        };
-        match result {
-            Ok(()) => {
+            RegionRef::Standalone { session, pending } => {
+                let mut spec = ParamsSpec::default();
+                let r = execute_p2p(
+                    session,
+                    pending,
+                    None,
+                    None,
+                    None,
+                    Some(&mut spec),
+                    None,
+                    own_clauses,
+                    self.site,
+                    &self.sbufs,
+                    &mut self.rbufs,
+                    body,
+                );
                 // Standalone p2p: synchronize immediately and record IR.
-                if let RegionRef::Standalone { session, pending } = self.region {
-                    let p = pending;
-                    session.apply_sync(p);
+                if r.is_ok() {
+                    session.apply_sync(std::mem::take(pending));
                     if session.record_ir {
-                        session.program.push(standalone_spec);
+                        session.program.push(spec);
                     }
                 }
-                Ok(())
+                r
             }
+        };
+        match result {
+            Ok(()) => Ok(()),
             Err(e) => {
                 if let RegionRef::InRegion(r) = &mut self.region {
                     if r.error.is_none() {
@@ -915,8 +914,8 @@ fn execute_p2p(
     used_bufs: Option<UsedBufs<'_>>,
     clauses: &ClauseSet,
     site: u32,
-    sbufs: &BufList<Box<dyn SendBuf + '_>>,
-    rbufs: &mut BufList<Box<dyn RecvBuf + '_>>,
+    sbufs: &BufList<SendSlot<'_>>,
+    rbufs: &mut BufList<RecvSlot<'_>>,
     body: impl FnOnce(&mut RankCtx),
 ) -> Result<(), DirectiveError> {
     // Count this execution of the site (and enforce `max_comm_iter`).
@@ -1001,6 +1000,8 @@ fn execute_p2p(
         Some(c) => c.eval(env)?,
         None => true,
     };
+    // A written count is evaluated (and checked) on every instance; the
+    // inferred one reads the buffers, so it waits until they are used.
     let count = match clauses
         .count
         .as_ref()
@@ -1015,9 +1016,9 @@ fn execute_p2p(
                     size: usize::MAX,
                 });
             }
-            v as usize
+            Some(v as usize)
         }
-        None => p2p_specless_inferred_count(sbufs, rbufs),
+        None => None,
     };
     let mut target = clauses
         .target
@@ -1080,6 +1081,34 @@ fn execute_p2p(
     } else {
         None
     };
+
+    // -- non-participant fast path -------------------------------------------------
+    // Every rank runs every instance, and on most of them it neither sends
+    // nor receives. Once the site has run in this region (validated, IR
+    // recorded) and its symmetric staging exists (allocated collectively),
+    // such an instance touches no buffer and issues no operation, so the
+    // guard and the dispatch below would change nothing. Of the dispatch's
+    // effects only two remain: marking the one-sided target, so the
+    // region-end quiet or fence still runs on this rank, and running the
+    // overlap body under the site's attribution. Coalesced sites keep the
+    // full path.
+    if dest.is_none()
+        && src.is_none()
+        && !first_execution_of_site
+        && coalesce.is_none()
+        && (target == Target::Mpi2Side || session.staging.iter().any(|(s, _)| *s == site))
+    {
+        match target {
+            Target::Mpi1Side => pending.used_mpi1 = true,
+            Target::Shmem => pending.used_shmem = true,
+            Target::Mpi2Side => {}
+        }
+        let prev_site = session.ctx.set_site(Some(site));
+        body(session.ctx);
+        session.ctx.set_site(prev_site);
+        return Ok(());
+    }
+    let count = count.unwrap_or_else(|| p2p_specless_inferred_count(sbufs, rbufs));
 
     // -- buffer-independence guard -----------------------------------------------
     // Consolidation is legal only across independent buffers (paper
@@ -1163,10 +1192,7 @@ fn execute_p2p(
     dispatched
 }
 
-fn p2p_specless_inferred_count(
-    sb: &BufList<Box<dyn SendBuf + '_>>,
-    rb: &BufList<Box<dyn RecvBuf + '_>>,
-) -> usize {
+fn p2p_specless_inferred_count(sb: &BufList<SendSlot<'_>>, rb: &BufList<RecvSlot<'_>>) -> usize {
     sb.iter()
         .map(|b| b.desc().len)
         .chain(rb.iter().map(|b| b.desc().len))
@@ -1181,8 +1207,8 @@ fn exec_mpi2(
     session: &mut CommSession<'_>,
     pending: &mut PendingSync,
     site: u32,
-    sbufs: &BufList<Box<dyn SendBuf + '_>>,
-    rbufs: &mut BufList<Box<dyn RecvBuf + '_>>,
+    sbufs: &BufList<SendSlot<'_>>,
+    rbufs: &mut BufList<RecvSlot<'_>>,
     count: usize,
     dest: Option<usize>,
     src: Option<usize>,
@@ -1431,8 +1457,8 @@ fn exec_mpi2_coalesced(
     session: &mut CommSession<'_>,
     pending: &mut PendingSync,
     site: u32,
-    sbufs: &BufList<Box<dyn SendBuf + '_>>,
-    rbufs: &mut BufList<Box<dyn RecvBuf + '_>>,
+    sbufs: &BufList<SendSlot<'_>>,
+    rbufs: &mut BufList<RecvSlot<'_>>,
     count: usize,
     dest: Option<usize>,
     src: Option<usize>,
@@ -1527,8 +1553,8 @@ fn exec_shmem_coalesced(
     session: &mut CommSession<'_>,
     pending: &mut PendingSync,
     site: u32,
-    sbufs: &BufList<Box<dyn SendBuf + '_>>,
-    rbufs: &mut BufList<Box<dyn RecvBuf + '_>>,
+    sbufs: &BufList<SendSlot<'_>>,
+    rbufs: &mut BufList<RecvSlot<'_>>,
     count: usize,
     dest: Option<usize>,
     src: Option<usize>,
@@ -1681,8 +1707,8 @@ fn exec_onesided(
     session: &mut CommSession<'_>,
     pending: &mut PendingSync,
     site: u32,
-    sbufs: &BufList<Box<dyn SendBuf + '_>>,
-    rbufs: &mut BufList<Box<dyn RecvBuf + '_>>,
+    sbufs: &BufList<SendSlot<'_>>,
+    rbufs: &mut BufList<RecvSlot<'_>>,
     count: usize,
     dest: Option<usize>,
     src: Option<usize>,
@@ -1739,17 +1765,12 @@ fn exec_onesided(
     // Sender: put each buffer's packed payload into the destination's slot.
     if let Some(dest) = dest {
         let global_dest = session.comm.global(dest);
-        let (seg, slot_base, offsets, slot_bytes) = {
+        let (seg, slot_base, slot_bytes) = {
             let st = session.staging_mut(site).expect("staging created");
             let k = st.send_counts.entry(dest).or_insert(0);
             let slot = (*k % st.slots as u64) as usize;
             *k += 1;
-            (
-                st.seg,
-                slot * st.slot_bytes,
-                st.buf_offsets.clone(),
-                st.slot_bytes,
-            )
+            (st.seg, slot * st.slot_bytes, st.slot_bytes)
         };
         let mut payload = Vec::new();
         let mut used = 0usize;
@@ -1793,14 +1814,14 @@ fn exec_onesided(
                 // pays here.
                 Lowering::Pack => session.ctx.charge_pack(payload.len(), &model),
             }
-            let arrival = session.ctx.put(
-                seg,
-                global_dest,
-                slot_base + offsets[i],
-                &payload,
-                &model,
-                true,
-            );
+            let offset = session
+                .staging_mut(site)
+                .expect("staging created")
+                .buf_offsets[i];
+            let arrival =
+                session
+                    .ctx
+                    .put(seg, global_dest, slot_base + offset, &payload, &model, true);
             match target {
                 Target::Mpi1Side => pending.put_arrivals_mpi.push(arrival),
                 _ => pending.put_arrivals_shmem.push(arrival),
@@ -1814,19 +1835,13 @@ fn exec_onesided(
     // Receiver: wait (physically) for this execution's deliveries, copy the
     // staged bytes into the user buffers, record the arrival horizon.
     if src.is_some() {
-        let (seg, slot_base, offsets, expect_base) = {
+        let (seg, slot_base, expect_base) = {
             let st = session.staging_mut(site).expect("staging created");
             let slot = (st.recv_count % st.slots as u64) as usize;
             let expect_base = st.recv_count * sbufs.len() as u64;
             st.recv_count += 1;
-            (
-                st.seg,
-                slot * st.slot_bytes,
-                st.buf_offsets.clone(),
-                expect_base,
-            )
+            (st.seg, slot * st.slot_bytes, expect_base)
         };
-        let nbufs = rbufs.len();
         for (i, rb) in rbufs.iter_mut().enumerate() {
             let meta = rb.meta();
             let n = count.min(meta.len);
@@ -1834,12 +1849,12 @@ fn exec_onesided(
             let arrival = session
                 .ctx
                 .wait_signals_raw(seg, (expect_base + i as u64 + 1) as usize);
+            let offset = session
+                .staging_mut(site)
+                .and_then(|st| st.buf_offsets.get(i).copied())
+                .unwrap_or(0);
             let mut staged = vec![0u8; bytes];
-            session.ctx.read_local(
-                seg,
-                slot_base + offsets.get(i).copied().unwrap_or(0),
-                &mut staged,
-            );
+            session.ctx.read_local(seg, slot_base + offset, &mut staged);
             rb.scatter(n, &staged);
             // Bounce copy out of the symmetric staging buffer; the slot is
             // now reusable by flow-controlled senders.
@@ -1850,7 +1865,6 @@ fn exec_onesided(
                 Target::Mpi1Side => pending.recv_arrivals_mpi.push(arrival),
                 _ => pending.recv_arrivals_shmem.push(arrival),
             }
-            let _ = nbufs;
         }
     }
     Ok(())
@@ -1861,7 +1875,7 @@ mod tests {
     use super::*;
     use crate::buffer::{Prim, PrimMut};
     use crate::overlay::SiteDecision;
-    use netsim::{run, SimConfig};
+    use netsim::{run, RankCtx, SimConfig};
 
     fn ring_params(n: usize) -> CommParams {
         let _ = n;
@@ -2530,6 +2544,256 @@ mod tests {
             assert_eq!(program[0].body.len(), 1);
             assert_eq!(program[0].body[0].site, 1);
         });
+    }
+
+    // -- non-participant fast path ------------------------------------------
+    //
+    // Listing-7 shape on 3 ranks: rank 0 sends `n` i64s to rank 1 at site
+    // 21 on every instance; rank 2 runs every instance and never
+    // participates, so from its second instance on it takes the fast path.
+    // Every instance receives into its own slice of `dst`, so no buffer
+    // dependence forces a split sync (under MPI one-sided a split is a
+    // fence that only the receiver would enter).
+
+    const FAST_SITE: u32 = 21;
+
+    fn fast_path_engines() -> [netsim::ExecPolicy; 2] {
+        [
+            netsim::ExecPolicy::threads(),
+            netsim::ExecPolicy::bounded(1),
+        ]
+    }
+
+    fn listing7_params(target: Target, bound: i64) -> CommParams {
+        CommParams::new()
+            .sender(RankExpr::var("src"))
+            .receiver(RankExpr::var("dst"))
+            .sendwhen(RankExpr::rank().eq(RankExpr::var("src")))
+            .receivewhen(RankExpr::rank().eq(RankExpr::var("dst")))
+            .count(RankExpr::var("n"))
+            .max_comm_iter(bound)
+            .target(target)
+    }
+
+    fn listing7_session<'a>(ctx: &'a mut RankCtx) -> CommSession<'a> {
+        let comm = Comm::world(ctx);
+        let mut session = CommSession::new(ctx, comm);
+        session.set_var("src", 0);
+        session.set_var("dst", 1);
+        session.set_var("n", 2);
+        session
+    }
+
+    /// Run `iters` instances with `count` `n_at(i)`, stopping at the first
+    /// error; returns the index and error of that instance, if any.
+    fn listing7_loop(
+        reg: &mut Region<'_, '_>,
+        iters: usize,
+        n_at: impl Fn(usize) -> i64,
+    ) -> Option<(usize, DirectiveError)> {
+        let src = [7i64; 2];
+        let mut dst = vec![0i64; 2 * iters];
+        for (i, d) in dst.chunks_mut(2).enumerate() {
+            reg.set_var("n", n_at(i));
+            let r = reg
+                .p2p()
+                .site(FAST_SITE)
+                .sbuf(Prim::new("src", &src))
+                .rbuf(PrimMut::new("dst", d))
+                .run();
+            if let Err(e) = r {
+                return Some((i, e));
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn nonparticipant_fast_path_raises_max_iter_at_bound_plus_one() {
+        for exec in fast_path_engines() {
+            for target in Target::ALL {
+                let res = run(SimConfig::new(3).with_exec(exec), move |ctx| {
+                    let mut session = listing7_session(ctx);
+                    let mut failed = None;
+                    let out = session.region(&listing7_params(target, 3), |reg| {
+                        failed = listing7_loop(reg, 5, |_| 2);
+                    });
+                    out.is_err()
+                        && matches!(
+                            failed,
+                            Some((
+                                3,
+                                DirectiveError::MaxIterExceeded {
+                                    site: FAST_SITE,
+                                    bound: 3
+                                }
+                            ))
+                        )
+                });
+                assert_eq!(res.per_rank, vec![true; 3], "{exec:?} {target}");
+            }
+        }
+    }
+
+    #[test]
+    fn nonparticipant_fast_path_still_rejects_negative_count() {
+        for exec in fast_path_engines() {
+            for target in Target::ALL {
+                let res = run(SimConfig::new(3).with_exec(exec), move |ctx| {
+                    let mut session = listing7_session(ctx);
+                    let mut failed = None;
+                    let out = session.region(&listing7_params(target, 8), |reg| {
+                        failed = listing7_loop(reg, 4, |i| if i == 2 { -1 } else { 2 });
+                    });
+                    out.is_err()
+                        && matches!(
+                            failed,
+                            Some((
+                                2,
+                                DirectiveError::RankOutOfRange {
+                                    clause: "count",
+                                    value: -1,
+                                    ..
+                                }
+                            ))
+                        )
+                });
+                assert_eq!(res.per_rank, vec![true; 3], "{exec:?} {target}");
+            }
+        }
+    }
+
+    /// Per rank: (quiets, barriers, final clock) after one region of
+    /// `iters` instances, of which rank 2 runs `iters_rank2`.
+    fn listing7_sync_profile(
+        exec: netsim::ExecPolicy,
+        target: Target,
+        iters: usize,
+        iters_rank2: usize,
+    ) -> Vec<(usize, usize, Time)> {
+        run(SimConfig::new(3).with_exec(exec), move |ctx| {
+            let mut session = listing7_session(ctx);
+            let mine = if session.rank() == 2 {
+                iters_rank2
+            } else {
+                iters
+            };
+            session
+                .region(&listing7_params(target, iters as i64), |reg| {
+                    assert!(listing7_loop(reg, mine, |_| 2).is_none());
+                })
+                .unwrap();
+            session.flush();
+            (ctx.stats.quiets, ctx.stats.barriers, ctx.now())
+        })
+        .per_rank
+    }
+
+    #[test]
+    fn nonparticipant_fast_path_keeps_region_end_quiet_and_fence() {
+        for exec in fast_path_engines() {
+            for target in [Target::Shmem, Target::Mpi1Side] {
+                // Rank 2 running only its first (full-path) instance is the
+                // reference: the fast-path instances add nothing to its
+                // clock, and its region-end quiet or fence still happens.
+                let fast = listing7_sync_profile(exec, target, 6, 6);
+                let reference = listing7_sync_profile(exec, target, 6, 1);
+                assert_eq!(fast, reference, "{exec:?} {target}");
+                let (quiets, barriers, _) = fast[2];
+                match target {
+                    // Staging allocation barrier, then one quiet.
+                    Target::Shmem => assert_eq!((quiets, barriers), (1, 1)),
+                    // Staging allocation barrier, then the fence's barrier.
+                    _ => assert_eq!((quiets, barriers), (0, 2)),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn nonparticipant_fast_path_marks_the_one_sided_target() {
+        // Site 21 has SHMEM staging from region 1. In region 2 its first
+        // instance is retargeted per call to MPI two-sided, so only the
+        // fast-path instances after it tell rank 2 that the region used
+        // SHMEM: they must, or rank 2 skips the region-end quiet.
+        for exec in fast_path_engines() {
+            let res = run(SimConfig::new(3).with_exec(exec), move |ctx| {
+                let mut session = listing7_session(ctx);
+                let params = listing7_params(Target::Shmem, 4);
+                session
+                    .region(&params, |reg| {
+                        assert!(listing7_loop(reg, 1, |_| 2).is_none());
+                    })
+                    .unwrap();
+                let src = [7i64; 2];
+                let mut dst = [0i64; 8];
+                session
+                    .region(&params, |reg| {
+                        for (i, d) in dst.chunks_mut(2).enumerate() {
+                            let target = if i == 0 {
+                                Target::Mpi2Side
+                            } else {
+                                Target::Shmem
+                            };
+                            reg.p2p()
+                                .site(FAST_SITE)
+                                .target(target)
+                                .sbuf(Prim::new("src", &src))
+                                .rbuf(PrimMut::new("dst", d))
+                                .run()
+                                .unwrap();
+                        }
+                    })
+                    .unwrap();
+                session.flush();
+                ctx.stats.quiets
+            });
+            assert_eq!(res.per_rank, vec![2; 3], "{exec:?}: one quiet per region");
+        }
+    }
+
+    #[test]
+    fn nonparticipant_fast_path_runs_overlap_body_and_restores_site() {
+        const ITERS: usize = 5;
+        let compute = Time::from_nanos(700);
+        for exec in fast_path_engines() {
+            for target in Target::ALL {
+                let res = run(SimConfig::new(3).with_exec(exec), move |ctx| {
+                    let mut session = listing7_session(ctx);
+                    let src = [7i64; 2];
+                    let mut dst = [0i64; 2 * ITERS];
+                    let (mut bodies, mut restored) = (0, true);
+                    let mut t_before = Time::ZERO;
+                    let mut t_after = Time::ZERO;
+                    session
+                        .region(&listing7_params(target, ITERS as i64), |reg| {
+                            reg.ctx().set_site(Some(77));
+                            t_before = reg.ctx().now();
+                            for d in dst.chunks_mut(2) {
+                                reg.p2p()
+                                    .site(FAST_SITE)
+                                    .sbuf(Prim::new("src", &src))
+                                    .rbuf(PrimMut::new("dst", d))
+                                    .overlap(|ctx| {
+                                        bodies +=
+                                            usize::from(ctx.current_site() == Some(FAST_SITE));
+                                        ctx.compute(compute);
+                                    })
+                                    .unwrap();
+                                restored &= reg.ctx().current_site() == Some(77);
+                            }
+                            t_after = reg.ctx().now();
+                        })
+                        .unwrap();
+                    session.flush();
+                    (bodies, restored, t_after - t_before)
+                });
+                let (bodies, restored, elapsed) = res.per_rank[2];
+                assert_eq!(bodies, ITERS, "{exec:?} {target}: body under the site");
+                assert!(restored, "{exec:?} {target}: previous site restored");
+                assert!(elapsed >= Time::from_nanos(700 * ITERS as u64));
+            }
+        }
     }
 
     /// Ring of a 3-array struct-of-arrays payload, delivered intact on

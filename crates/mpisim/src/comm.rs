@@ -244,7 +244,11 @@ impl Comm {
     /// Barrier over this communicator (`MPI_Barrier`), reconciling clocks.
     pub fn barrier(&self, ctx: &mut RankCtx) {
         let m = self.model(ctx);
-        ctx.barrier_group(&self.sorted_globals(), &m);
+        if self.size() == ctx.nranks() {
+            ctx.barrier(&m);
+        } else {
+            ctx.barrier_group(&self.sorted_globals(), &m);
+        }
     }
 
     /// `MPI_Sendrecv`: a combined send/receive with one consolidated

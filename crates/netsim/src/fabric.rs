@@ -679,6 +679,10 @@ impl SegmentStore {
 pub struct Fabric {
     nranks: usize,
     mailboxes: Vec<Mailbox>,
+    /// The full-group barrier, built up front: world barriers, the common
+    /// case, neither hash nor copy a member list.
+    world: GroupBarrier,
+    /// Subgroup barriers, keyed by member list.
     barriers: ShardedMap<Arc<GroupBarrier>>,
     segments: SegmentStore,
 }
@@ -688,6 +692,7 @@ impl Fabric {
         Arc::new(Fabric {
             nranks,
             mailboxes: (0..nranks).map(|_| Mailbox::new(nranks)).collect(),
+            world: GroupBarrier::new(nranks),
             barriers: ShardedMap::default(),
             segments: SegmentStore::default(),
         })
@@ -752,10 +757,20 @@ impl Fabric {
             group.windows(2).all(|w| w[0] < w[1]),
             "group must be sorted"
         );
+        // Distinct ranks, as many as the machine has: the world group.
+        if group.len() == self.nranks {
+            return self.barrier_world(entry, cost);
+        }
         let b = self
             .barriers
             .get_or_insert_with(group, || Arc::new(GroupBarrier::new(group.len())));
         b.enter(entry, cost)
+    }
+
+    /// Barrier over every rank of the machine, reconciling clocks. The
+    /// same barrier as [`Fabric::barrier`] over the full group.
+    pub fn barrier_world(&self, entry: Time, cost: Time) -> Time {
+        self.world.enter(entry, cost)
     }
 }
 
@@ -948,6 +963,50 @@ mod tests {
         assert_eq!(f.barrier(&b[..], Time(200), Time(1)), Time(201));
         ha.join().unwrap();
         hb.join().unwrap();
+    }
+
+    #[test]
+    fn world_and_subgroup_barriers_interleave_across_generations() {
+        // Ranks 0..4; every round is a world barrier (entered both through
+        // the full member list and through `barrier_world`), then a barrier
+        // of {0, 1} and one of {2, 3}. Each generation reconciles only the
+        // clocks of its own members.
+        let f = Fabric::new(4);
+        let world = [0usize, 1, 2, 3];
+        let mut handles = Vec::new();
+        for r in 0..4usize {
+            let f = Arc::clone(&f);
+            handles.push(thread::spawn(move || {
+                let pair: [usize; 2] = if r < 2 { [0, 1] } else { [2, 3] };
+                let mut clock = Time(r as u64);
+                let mut exits = Vec::new();
+                for round in 0..5u64 {
+                    clock = if (r + round as usize).is_multiple_of(2) {
+                        f.barrier(&world[..], clock + Time(round), Time(10))
+                    } else {
+                        f.barrier_world(clock + Time(round), Time(10))
+                    };
+                    exits.push(clock);
+                    clock = f.barrier(&pair[..], clock + Time(r as u64 * 100), Time(1));
+                    exits.push(clock);
+                }
+                exits
+            }));
+        }
+        let exits: Vec<Vec<Time>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        // Replay the rounds sequentially to get the expected clocks: the
+        // pair {0, 1} enters at +0 and +100, the pair {2, 3} at +200, +300.
+        let mut clock = [0u64, 1, 2, 3];
+        for round in 0..5usize {
+            let w = clock.iter().max().unwrap() + round as u64 + 10;
+            let (lo, hi) = (w + 100 + 1, w + 300 + 1);
+            for (r, ex) in exits.iter().enumerate() {
+                assert_eq!(ex[2 * round], Time(w), "world, round {round}");
+                let pair = if r < 2 { lo } else { hi };
+                assert_eq!(ex[2 * round + 1], Time(pair), "pair, round {round}");
+            }
+            clock = [lo, lo, hi, hi];
+        }
     }
 
     #[test]

@@ -1013,30 +1013,33 @@ impl RankCtx {
 
     /// Barrier over all ranks.
     pub fn barrier(&mut self, model: &CostModel) {
-        let group: Vec<usize> = (0..self.nranks).collect();
-        self.barrier_group(&group, model);
+        self.enter_barrier(None, model);
     }
 
     /// Barrier over an arbitrary ascending group containing this rank.
     pub fn barrier_group(&mut self, group: &[usize], model: &CostModel) {
         debug_assert!(group.contains(&self.rank), "barrier group excludes caller");
+        self.enter_barrier(Some(group), model);
+    }
+
+    /// Barrier over `group`, or over all ranks when `None`.
+    fn enter_barrier(&mut self, group: Option<&[usize]>, model: &CostModel) {
         self.note_block();
         let t0 = self.clock;
-        let cost = model.barrier_cost(group.len());
-        let exit = self.fabric.barrier(group, self.clock, cost);
+        let group_len = group.map_or(self.nranks, <[usize]>::len);
+        let cost = model.barrier_cost(group_len);
+        let exit = match group {
+            Some(g) => self.fabric.barrier(g, self.clock, cost),
+            None => self.fabric.barrier_world(self.clock, cost),
+        };
         self.clock = exit;
-        if group.len() == self.nranks {
+        if group_len == self.nranks {
             if let Some(san) = &self.san {
                 san.on_full_barrier(self.rank);
             }
         }
         self.stats.barriers += 1;
-        self.trace(
-            t0,
-            EventKind::Barrier {
-                group_len: group.len(),
-            },
-        );
+        self.trace(t0, EventKind::Barrier { group_len });
         if let Some(m) = &mut self.metrics {
             m.on_sync(t0, self.clock);
         }
