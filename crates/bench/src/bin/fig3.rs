@@ -30,9 +30,9 @@ fn main() {
     let profile = arg_str(&args, "--profile");
     let workers = arg_usize(&args, "--workers");
     let eager = arg_usize(&args, "--eager-threshold");
-    let mut exec = match workers {
-        Some(w) => ExecPolicy::bounded(w),
-        None => ExecPolicy::threads(),
+    let mut exec = ExecPolicy {
+        workers,
+        ..ExecPolicy::default()
     };
     if let Some(b) = eager {
         exec = exec.with_eager_threshold(b);

@@ -8,7 +8,8 @@
 //!              [--baseline FILE] [--ledger FILE] [--diff-out FILE]
 //!              [--trace-out FILE] [--profile FILE]`
 //! (stride thins the process sweep; jobs bounds the sweep worker pool;
-//! `--workers` selects the bounded in-run engine, 0 = auto;
+//! `--workers` gates each run to W execution slots, 0 = auto, default one
+//! per rank;
 //! `--eager-threshold` overrides the cost model's eager/rendezvous protocol
 //! switch, in bytes; `--sanitize` runs every point under the one-sided race
 //! sanitizer, filling the `race_checks`/`conflicts_found` counters the JSON
@@ -77,9 +78,9 @@ fn main() {
     let workers = arg_usize(&args, "--workers");
     let eager = arg_usize(&args, "--eager-threshold");
     let sanitize = args.iter().any(|a| a == "--sanitize");
-    let mut exec = match workers {
-        Some(w) => ExecPolicy::bounded(w),
-        None => ExecPolicy::threads(),
+    let mut exec = ExecPolicy {
+        workers,
+        ..ExecPolicy::default()
     };
     if let Some(b) = eager {
         exec = exec.with_eager_threshold(b);

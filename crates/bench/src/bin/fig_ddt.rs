@@ -395,9 +395,9 @@ fn main() {
     let baseline = arg_str(&args, "--baseline");
     let min_factor = arg_f64(&args, "--min-factor").unwrap_or(1.3);
     let workers = arg_usize(&args, "--workers");
-    let exec = match workers {
-        Some(w) => ExecPolicy::bounded(w),
-        None => ExecPolicy::threads(),
+    let exec = ExecPolicy {
+        workers,
+        ..ExecPolicy::default()
     };
 
     let backends = [Target::Mpi2Side, Target::Shmem];

@@ -1,6 +1,5 @@
 //! Scale-out sweep past the paper's 337-process ceiling: the fig-4 spin
-//! workload at 512/1024/2048/4096 ranks under the bounded virtual-time
-//! engine (thread-per-rank optional for comparison).
+//! workload at 512/1024/2048/4096 ranks, gated to a few execution slots.
 //!
 //! The paper's sweep tops out at M=21 LSMS instances (337 ranks); this
 //! binary extends the same workload shape to thousands of ranks, where
@@ -9,11 +8,11 @@
 //! time depends on the engine.
 //!
 //! Usage: `fig_scale [--ranks 512,1024,2048,4096] [--steps N] [--workers W]
-//!                   [--threads] [--stack-kib K] [--sanitize] [--stats]
+//!                   [--stack-kib K] [--sanitize] [--stats]
 //!                   [--watch SECS] [--json] [--baseline FILE]
 //!                   [--ledger FILE]`
-//! `--workers` selects the bounded engine slot count (0 = auto, default);
-//! `--threads` forces thread-per-rank. `--sanitize` runs under the
+//! `--workers` selects the execution slot count (0 = auto, default).
+//! `--sanitize` runs under the
 //! one-sided race sanitizer (fills `race_checks`/`conflicts_found` in the
 //! report; the baseline gate refuses non-zero conflicts). `--watch` runs
 //! the stall watchdog: progress lines on stderr every second, and any rank
@@ -34,7 +33,6 @@ fn main() {
     let steps = arg_usize(&args, "--steps").unwrap_or(2);
     let stats = args.iter().any(|a| a == "--stats");
     let json = args.iter().any(|a| a == "--json");
-    let threads = args.iter().any(|a| a == "--threads");
     let baseline = arg_str(&args, "--baseline");
     let workers = arg_usize(&args, "--workers").unwrap_or(0);
     let stack_kib = arg_usize(&args, "--stack-kib").unwrap_or(256);
@@ -46,12 +44,7 @@ fn main() {
         })
         .unwrap_or_else(|| vec![512, 1024, 2048, 4096]);
 
-    let mut exec = if threads {
-        ExecPolicy::threads()
-    } else {
-        ExecPolicy::bounded(workers)
-    }
-    .with_stack_size(stack_kib << 10);
+    let mut exec = ExecPolicy::bounded(workers).with_stack_size(stack_kib << 10);
     if args.iter().any(|a| a == "--sanitize") {
         exec = exec.with_sanitize();
     }
@@ -101,7 +94,7 @@ fn main() {
             bench: "fig_scale".into(),
             args: vec![
                 ("steps".into(), steps as i64),
-                ("workers".into(), if threads { -1 } else { workers as i64 }),
+                ("workers".into(), workers as i64),
                 ("stack_kib".into(), stack_kib as i64),
             ],
             ranks: xs,
@@ -115,19 +108,14 @@ fn main() {
                 .collect(),
             wall_s,
         };
-        let engine = bench::ledger::engine_label(if threads { None } else { Some(workers) });
+        let engine = bench::ledger::engine_label(Some(workers));
         bench::ledger::maybe_record(&args, &report, &engine);
         std::process::exit(emit_json_report(&report, baseline));
     }
 
     println!("# Scale-out — fig4 spin workload beyond the paper's 337 processes");
     println!(
-        "# engine={} stack={stack_kib}KiB steps={steps} (virtual s per WL step; wall s per point)",
-        if threads {
-            "thread-per-rank".into()
-        } else {
-            format!("bounded(workers={workers})")
-        }
+        "# engine=bounded(workers={workers}) stack={stack_kib}KiB steps={steps} (virtual s per WL step; wall s per point)"
     );
     print!("{:>10}", "procs");
     for v in &variants {

@@ -110,7 +110,8 @@ impl SeriesReport {
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
     pub bench: String,
-    /// Flat integer arguments (`workers` is `-1` for thread-per-rank).
+    /// Flat integer arguments (`workers` is `-1` for the default, one
+    /// execution slot per rank).
     pub args: Vec<(String, i64)>,
     pub ranks: Vec<usize>,
     pub series: Vec<SeriesReport>,

@@ -31,10 +31,10 @@ pub fn git_rev() -> String {
         .unwrap_or_else(|| "unknown".into())
 }
 
-/// Human label for the execution engine a run used.
+/// Human label for the execution slots a run used (`None`: one per rank).
 pub fn engine_label(workers: Option<usize>) -> String {
     match workers {
-        None => "threads".into(),
+        None => "bounded(all)".into(),
         Some(0) => "bounded(auto)".into(),
         Some(w) => format!("bounded({w})"),
     }

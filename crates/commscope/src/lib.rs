@@ -23,8 +23,8 @@
 //!   (`results/LEDGER.jsonl`) with regression detection.
 //!
 //! Everything here is a pure function of virtual quantities, so every
-//! export is byte-identical across `ExecPolicy::threads()`,
-//! `ExecPolicy::bounded(w)`, and sweep-pool widths.
+//! export is byte-identical across execution slot counts (the default one
+//! per rank or `ExecPolicy::bounded(w)`) and sweep-pool widths.
 //!
 //! The `commscope` binary (see `src/main.rs`) runs a figure workload from
 //! `wl-lsms` with tracing and metrics enabled and writes the report,

@@ -212,9 +212,9 @@ fn main() {
     let steps = arg_usize(&args, "--steps").unwrap_or(2);
     let variant = arg_str(&args, "--variant").unwrap_or("mpi");
     let workers = arg_usize(&args, "--workers");
-    let exec = match workers {
-        Some(w) => ExecPolicy::bounded(w),
-        None => ExecPolicy::threads(),
+    let exec = ExecPolicy {
+        workers,
+        ..ExecPolicy::default()
     };
     let check = args.iter().any(|a| a == "--check");
 

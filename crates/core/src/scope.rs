@@ -2559,7 +2559,7 @@ mod tests {
 
     fn fast_path_engines() -> [netsim::ExecPolicy; 2] {
         [
-            netsim::ExecPolicy::threads(),
+            netsim::ExecPolicy::default(),
             netsim::ExecPolicy::bounded(1),
         ]
     }

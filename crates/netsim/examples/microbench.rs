@@ -1,6 +1,7 @@
-//! Per-primitive wall-cost microbenchmark for the two execution engines.
+//! Per-primitive wall-cost microbenchmark for the execution engine.
 //!
-//! Usage: `microbench [--workers W]` (omit `--workers` for thread-per-rank).
+//! Usage: `microbench [--workers W]` (omit `--workers` for one slot per
+//! rank).
 //! Prints wall time per simulated operation for a few synthetic workloads;
 //! used to attribute engine overhead, not to produce paper figures.
 
@@ -10,14 +11,14 @@ use netsim::{run, ExecPolicy, SimConfig, SrcSel, TagSel};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let exec = match args
+    let workers = args
         .iter()
         .position(|a| a == "--workers")
         .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-    {
-        Some(w) => ExecPolicy::bounded(w),
-        None => ExecPolicy::threads(),
+        .and_then(|v| v.parse().ok());
+    let exec = ExecPolicy {
+        workers,
+        ..ExecPolicy::default()
     };
 
     // (a) spawn/teardown only: n ranks that do nothing.

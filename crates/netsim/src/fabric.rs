@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Mutex, RwLock};
 
 use crate::msg::{
     match_timing, Completion, Envelope, RecvDone, RecvRequest, RecvSlot, SendRequest, SrcSel,
@@ -171,7 +171,7 @@ impl Mailbox {
                 // Eager messages complete the sender immediately; rendezvous
                 // sends stay pending until matched.
                 if env.costs.eager {
-                    env.send_done.set(env.depart);
+                    env.send_done.set(env.depart, env.depart);
                 }
                 let src = env.src;
                 g.unexpected[src].push_back(env);
@@ -253,14 +253,17 @@ impl Mailbox {
 fn complete_match(env: Envelope, post_time: Time, slot: &RecvSlot) {
     let bytes = env.payload.len();
     let timing = match_timing(&env.costs, bytes, env.depart, post_time);
-    env.send_done.set(timing.send_complete);
-    slot.set(RecvDone {
+    env.send_done
+        .set(timing.send_complete, timing.send_complete);
+    let done = RecvDone {
         payload: env.payload,
         completion: timing.recv_complete,
         unexpected: timing.unexpected,
         src: env.src,
         tag: env.tag,
-    });
+    };
+    let first = slot.set(done, timing.recv_complete);
+    debug_assert!(first, "receive completed twice");
 }
 
 // ---------------------------------------------------------------------------
@@ -269,12 +272,11 @@ fn complete_match(env: Envelope, post_time: Time, slot: &RecvSlot) {
 
 #[derive(Default)]
 struct BarrierInner {
-    generation: u64,
     arrived: usize,
     max_entry: Time,
     exit_time: Time,
-    /// Bounded-engine single-wake registrations: ranks parked in this
-    /// generation, woken through the scheduler by the last arriver.
+    /// Single-wake registrations: ranks parked in this generation, woken
+    /// through the scheduler by the last arriver.
     waiters: Vec<crate::sched::Waiter>,
 }
 
@@ -283,7 +285,6 @@ struct BarrierInner {
 pub struct GroupBarrier {
     size: usize,
     inner: Mutex<BarrierInner>,
-    cv: Condvar,
 }
 
 impl GroupBarrier {
@@ -291,7 +292,6 @@ impl GroupBarrier {
         GroupBarrier {
             size,
             inner: Mutex::new(BarrierInner::default()),
-            cv: Condvar::new(),
         }
     }
 
@@ -301,38 +301,28 @@ impl GroupBarrier {
     /// practice since they use the same library for the barrier).
     pub fn enter(&self, entry: Time, cost: Time) -> Time {
         let mut g = self.inner.lock();
-        let gen = g.generation;
         g.max_entry = g.max_entry.max(entry);
         g.arrived += 1;
-        if g.arrived == self.size {
-            let exit = g.max_entry + cost;
-            g.exit_time = exit;
-            g.arrived = 0;
-            g.max_entry = Time::ZERO;
-            g.generation += 1;
-            let waiters = std::mem::take(&mut g.waiters);
-            self.cv.notify_all();
-            drop(g);
-            // Wake parked ranks through the scheduler: each is queued at the
-            // reconciled exit clock and granted a slot LVT-first (no
-            // condvar broadcast storm).
-            for w in waiters {
-                w.wake(exit);
-            }
-            exit
-        } else if let Some(w) = crate::sched::yield_slot() {
-            g.waiters.push(w);
+        if g.arrived < self.size {
+            g.waiters.push(crate::sched::yield_slot());
             drop(g);
             crate::sched::park_self();
             // Woken ⇒ our generation completed. The next generation cannot
             // finish (and overwrite `exit_time`) before we re-enter.
-            self.inner.lock().exit_time
-        } else {
-            while g.generation == gen {
-                self.cv.wait(&mut g);
-            }
-            g.exit_time
+            return self.inner.lock().exit_time;
         }
+        let exit = g.max_entry + cost;
+        g.exit_time = exit;
+        g.arrived = 0;
+        g.max_entry = Time::ZERO;
+        let waiters = std::mem::take(&mut g.waiters);
+        drop(g);
+        // Each parked rank is queued at the reconciled exit clock and
+        // granted a slot LVT-first.
+        for w in waiters {
+            w.wake(exit);
+        }
+        exit
     }
 }
 
@@ -393,15 +383,12 @@ struct SlotInner {
     signals: Vec<Time>,
     /// Number of signalled deliveries the owner has consumed (flow control).
     consumed: u64,
-    /// Bounded-engine single-wake registration: the owner parked until the
-    /// `.0`-th (1-based) signal lands; the delivering put wakes it through
-    /// the scheduler.
+    /// Single-wake registration: the owner parked until the `.0`-th
+    /// (1-based) signal lands; the delivering put wakes it.
     waiting: Option<(usize, crate::sched::Waiter)>,
-}
-
-struct Slot {
-    inner: Mutex<SlotInner>,
-    cv: Condvar,
+    /// Senders parked on a full flow-control window; the owner's
+    /// `mark_consumed` wakes them all and each re-checks the window.
+    blocked_senders: Vec<crate::sched::Waiter>,
 }
 
 /// A symmetric allocation: `bytes` of memory on each rank of `group`.
@@ -410,14 +397,14 @@ pub struct Segment {
     /// Participating global ranks, ascending.
     group: Vec<usize>,
     /// One slot per participating rank, indexed by position in `group`.
-    slots: Vec<Slot>,
+    slots: Vec<Mutex<SlotInner>>,
     /// Flow-control window: a signalled put physically blocks while
     /// `signals - consumed >= window` (staging-slot reuse safety).
     window: u64,
 }
 
 impl Segment {
-    fn slot_of(&self, rank: usize) -> &Slot {
+    fn slot_of(&self, rank: usize) -> &Mutex<SlotInner> {
         let idx = self
             .group
             .binary_search(&rank)
@@ -438,16 +425,15 @@ impl Segment {
 
 #[derive(Default)]
 struct AllocRendezvous {
-    generation: u64,
     arrived: usize,
     bytes: usize,
     window: u64,
+    /// The segment of the latest completed generation. Not reset when the
+    /// next generation starts: that one cannot complete (and overwrite it)
+    /// before every woken member has read it.
     result: Option<SegId>,
-}
-
-struct AllocState {
-    inner: Mutex<AllocRendezvous>,
-    cv: Condvar,
+    /// Single-wake registrations: ranks parked in this generation.
+    waiters: Vec<crate::sched::Waiter>,
 }
 
 /// The one-sided memory store: symmetric segments plus the collective
@@ -455,7 +441,7 @@ struct AllocState {
 #[derive(Default)]
 pub struct SegmentStore {
     segments: RwLock<Vec<Arc<Segment>>>,
-    allocs: ShardedMap<Arc<AllocState>>,
+    allocs: ShardedMap<Arc<Mutex<AllocRendezvous>>>,
 }
 
 impl SegmentStore {
@@ -469,18 +455,11 @@ impl SegmentStore {
             group.windows(2).all(|w| w[0] < w[1]),
             "group must be sorted"
         );
-        let state = self.allocs.get_or_insert_with(group, || {
-            Arc::new(AllocState {
-                inner: Mutex::new(AllocRendezvous::default()),
-                cv: Condvar::new(),
-            })
-        });
-        let mut g = state.inner.lock();
-        let gen = g.generation;
+        let state = self.allocs.get_or_insert_with(group, Arc::default);
+        let mut g = state.lock();
         if g.arrived == 0 {
             g.bytes = bytes;
             g.window = window;
-            g.result = None;
         } else {
             assert_eq!(
                 g.bytes, bytes,
@@ -492,48 +471,45 @@ impl SegmentStore {
             );
         }
         g.arrived += 1;
-        if g.arrived == group.len() {
-            let seg = Arc::new(Segment {
-                bytes,
-                group: group.to_vec(),
-                window,
-                slots: group
-                    .iter()
-                    .map(|_| Slot {
-                        inner: Mutex::new(SlotInner {
-                            data: vec![0u8; bytes],
-                            signals: Vec::new(),
-                            consumed: 0,
-                            waiting: None,
-                        }),
-                        cv: Condvar::new(),
-                    })
-                    .collect(),
-            });
-            let id = {
-                let mut segs = self.segments.write();
-                segs.push(seg);
-                SegId(segs.len() - 1)
-            };
-            g.result = Some(id);
-            g.arrived = 0;
-            g.generation += 1;
-            self.cv_notify(&state);
-            id
-        } else {
-            crate::sched::pre_block();
-            while g.generation == gen {
-                state.cv.wait(&mut g);
-            }
-            let id = g.result.expect("alloc result set by last arriver");
+        if g.arrived < group.len() {
+            g.waiters.push(crate::sched::yield_slot());
             drop(g);
-            crate::sched::post_block();
-            id
+            crate::sched::park_self();
+            return state
+                .lock()
+                .result
+                .expect("alloc result set by last arriver");
         }
-    }
-
-    fn cv_notify(&self, state: &AllocState) {
-        state.cv.notify_all();
+        let seg = Arc::new(Segment {
+            bytes,
+            group: group.to_vec(),
+            window,
+            slots: group
+                .iter()
+                .map(|_| {
+                    Mutex::new(SlotInner {
+                        data: vec![0u8; bytes],
+                        signals: Vec::new(),
+                        consumed: 0,
+                        waiting: None,
+                        blocked_senders: Vec::new(),
+                    })
+                })
+                .collect(),
+        });
+        let id = {
+            let mut segs = self.segments.write();
+            segs.push(seg);
+            SegId(segs.len() - 1)
+        };
+        g.result = Some(id);
+        g.arrived = 0;
+        let waiters = std::mem::take(&mut g.waiters);
+        drop(g);
+        for w in waiters {
+            w.wake_at_own_clock();
+        }
+        id
     }
 
     fn seg(&self, id: SegId) -> Arc<Segment> {
@@ -561,19 +537,17 @@ impl SegmentStore {
     ) -> Option<u64> {
         let seg = self.seg(id);
         let slot = seg.slot_of(target);
-        let mut g = slot.inner.lock();
-        let mut yielded = false;
-        if signal_arrival.is_some() {
-            // Flow control: do not overwrite a staging slot the owner has
-            // not consumed yet. Purely physical (no virtual-time charge):
-            // models adequately-sized staging on the critical path.
-            while (g.signals.len() as u64).saturating_sub(g.consumed) >= seg.window {
-                if !yielded {
-                    crate::sched::pre_block();
-                    yielded = true;
-                }
-                slot.cv.wait(&mut g);
-            }
+        let mut g = slot.lock();
+        // Flow control: do not overwrite a staging slot the owner has not
+        // consumed yet. Purely physical (no virtual-time charge): models
+        // adequately-sized staging on the critical path.
+        while signal_arrival.is_some()
+            && (g.signals.len() as u64).saturating_sub(g.consumed) >= seg.window
+        {
+            g.blocked_senders.push(crate::sched::yield_slot());
+            drop(g);
+            crate::sched::park_self();
+            g = slot.lock();
         }
         assert!(
             offset + data.len() <= g.data.len(),
@@ -594,19 +568,12 @@ impl SegmentStore {
                     waker = Some((w, g.signals[need - 1]));
                 }
             }
-            slot.cv.notify_all();
         }
         drop(g);
         if let Some((w, t)) = waker {
             // Single-wake handoff to the parked owner, queued at the
             // virtual arrival time of the signal it was waiting for.
             w.wake(t);
-        }
-        if yielded {
-            // The write above ran slot-less (bounded, lock-holding work);
-            // reacquire only after the slot mutex is released so the owner's
-            // `mark_consumed` can never be blocked by a parked sender.
-            crate::sched::post_block();
         }
         ordinal
     }
@@ -615,17 +582,20 @@ impl SegmentStore {
     /// (releases flow-controlled senders).
     pub fn mark_consumed(&self, id: SegId, rank: usize, count: u64) {
         let seg = self.seg(id);
-        let slot = seg.slot_of(rank);
-        let mut g = slot.inner.lock();
+        let mut g = seg.slot_of(rank).lock();
         g.consumed += count;
-        slot.cv.notify_all();
+        let senders = std::mem::take(&mut g.blocked_senders);
+        drop(g);
+        for w in senders {
+            w.wake_at_own_clock();
+        }
     }
 
     /// Read `out.len()` bytes from `target`'s copy at `offset`.
     pub fn read(&self, id: SegId, target: usize, offset: usize, out: &mut [u8]) {
         let seg = self.seg(id);
         let slot = seg.slot_of(target);
-        let g = slot.inner.lock();
+        let g = slot.lock();
         assert!(
             offset + out.len() <= g.data.len(),
             "read out of bounds: {}+{} > {}",
@@ -643,30 +613,23 @@ impl SegmentStore {
         assert!(count >= 1, "must wait for at least one signal");
         let seg = self.seg(id);
         let slot = seg.slot_of(rank);
-        let mut g = slot.inner.lock();
-        if g.signals.len() >= count {
-            return g.signals[count - 1];
-        }
-        if let Some(w) = crate::sched::yield_slot() {
+        let mut g = slot.lock();
+        if g.signals.len() < count {
             debug_assert!(g.waiting.is_none(), "two waiters on one slot");
-            g.waiting = Some((count, w));
+            g.waiting = Some((count, crate::sched::yield_slot()));
             drop(g);
             crate::sched::park_self();
             // Woken ⇒ the count-th signal landed (signals only grow).
-            slot.inner.lock().signals[count - 1]
-        } else {
-            while g.signals.len() < count {
-                slot.cv.wait(&mut g);
-            }
-            g.signals[count - 1]
+            g = slot.lock();
         }
+        g.signals[count - 1]
     }
 
     /// Number of signalled deliveries so far on `rank`'s copy.
     pub fn signal_count(&self, id: SegId, rank: usize) -> usize {
         let seg = self.seg(id);
         let slot = seg.slot_of(rank);
-        let n = slot.inner.lock().signals.len();
+        let n = slot.lock().signals.len();
         n
     }
 }
@@ -777,7 +740,24 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::{RankSlot, Scheduler};
     use std::thread;
+
+    /// Register the calling thread as a rank (of a one-rank scheduler of
+    /// its own), so its blocking waits park as they do under `run`.
+    fn as_rank() -> RankSlot {
+        RankSlot::enter(Scheduler::new(1, 1), 0)
+    }
+
+    /// Spawn `f` on a thread registered as a rank.
+    fn spawn_rank<T: Send + 'static>(
+        f: impl FnOnce() -> T + Send + 'static,
+    ) -> thread::JoinHandle<T> {
+        thread::spawn(|| {
+            let _slot = as_rank();
+            f()
+        })
+    }
 
     fn eager_costs() -> WireCosts {
         WireCosts {
@@ -911,7 +891,7 @@ mod tests {
     fn cross_thread_blocking_wait() {
         let f = Fabric::new(2);
         let f2 = Arc::clone(&f);
-        let h = thread::spawn(move || {
+        let h = spawn_rank(move || {
             let r = f2.recv(1, SrcSel::Exact(0), TagSel::Exact(0), Time(0));
             r.wait_raw().payload.to_vec()
         });
@@ -927,7 +907,7 @@ mod tests {
         let mut handles = Vec::new();
         for r in 0..4usize {
             let f = Arc::clone(&f);
-            handles.push(thread::spawn(move || {
+            handles.push(spawn_rank(move || {
                 f.barrier(&group[..], Time(100 * (r as u64 + 1)), Time(50))
             }));
         }
@@ -940,10 +920,11 @@ mod tests {
     fn barrier_reusable_across_generations() {
         let f = Fabric::new(2);
         let group = [0usize, 1];
+        let _me = as_rank();
         for round in 0..3u64 {
             let f0 = Arc::clone(&f);
             let g = group;
-            let h = thread::spawn(move || f0.barrier(&g[..], Time(round * 10), Time(1)));
+            let h = spawn_rank(move || f0.barrier(&g[..], Time(round * 10), Time(1)));
             let me = f.barrier(&group[..], Time(round * 10 + 5), Time(1));
             assert_eq!(me, Time(round * 10 + 6));
             assert_eq!(h.join().unwrap(), me);
@@ -955,10 +936,11 @@ mod tests {
         let f = Fabric::new(4);
         let a = [0usize, 1];
         let b = [2usize, 3];
+        let _me = as_rank();
         let fa = Arc::clone(&f);
-        let ha = thread::spawn(move || fa.barrier(&a[..], Time(10), Time(1)));
+        let ha = spawn_rank(move || fa.barrier(&a[..], Time(10), Time(1)));
         let fb = Arc::clone(&f);
-        let hb = thread::spawn(move || fb.barrier(&b[..], Time(100), Time(1)));
+        let hb = spawn_rank(move || fb.barrier(&b[..], Time(100), Time(1)));
         assert_eq!(f.barrier(&a[..], Time(20), Time(1)), Time(21));
         assert_eq!(f.barrier(&b[..], Time(200), Time(1)), Time(201));
         ha.join().unwrap();
@@ -976,7 +958,7 @@ mod tests {
         let mut handles = Vec::new();
         for r in 0..4usize {
             let f = Arc::clone(&f);
-            handles.push(thread::spawn(move || {
+            handles.push(spawn_rank(move || {
                 let pair: [usize; 2] = if r < 2 { [0, 1] } else { [2, 3] };
                 let mut clock = Time(r as u64);
                 let mut exits = Vec::new();
@@ -1013,8 +995,9 @@ mod tests {
     fn symmetric_alloc_and_put_get() {
         let f = Fabric::new(2);
         let group = [0usize, 1];
+        let _me = as_rank();
         let f2 = Arc::clone(&f);
-        let h = thread::spawn(move || f2.segments().alloc(&[0, 1], 64, u64::MAX));
+        let h = spawn_rank(move || f2.segments().alloc(&[0, 1], 64, u64::MAX));
         let id = f.segments().alloc(&group[..], 64, u64::MAX);
         assert_eq!(h.join().unwrap(), id);
 
@@ -1030,13 +1013,14 @@ mod tests {
     #[test]
     fn signalled_puts_wake_waiters_in_order() {
         let f = Fabric::new(2);
+        let _me = as_rank();
         let f2 = Arc::clone(&f);
-        let ha = thread::spawn(move || f2.segments().alloc(&[0, 1], 16, u64::MAX));
+        let ha = spawn_rank(move || f2.segments().alloc(&[0, 1], 16, u64::MAX));
         let id = f.segments().alloc(&[0, 1], 16, u64::MAX);
         ha.join().unwrap();
 
         let f3 = Arc::clone(&f);
-        let waiter = thread::spawn(move || {
+        let waiter = spawn_rank(move || {
             let t1 = f3.segments().wait_signals(id, 1, 1);
             let t2 = f3.segments().wait_signals(id, 1, 2);
             (t1, t2)
@@ -1062,15 +1046,16 @@ mod tests {
     fn flow_control_blocks_until_consumed() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let f = Fabric::new(2);
+        let _me = as_rank();
         let fa = Arc::clone(&f);
-        let h = thread::spawn(move || fa.segments().alloc(&[0, 1], 8, 2));
+        let h = spawn_rank(move || fa.segments().alloc(&[0, 1], 8, 2));
         let id = f.segments().alloc(&[0, 1], 8, 2);
         h.join().unwrap();
 
         let done = Arc::new(AtomicUsize::new(0));
         let f2 = Arc::clone(&f);
         let d2 = Arc::clone(&done);
-        let sender = thread::spawn(move || {
+        let sender = spawn_rank(move || {
             for k in 0..4u8 {
                 f2.segments().put(id, 1, 0, &[k], Some(Time(k as u64)));
                 d2.fetch_add(1, Ordering::SeqCst);

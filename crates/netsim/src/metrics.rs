@@ -10,8 +10,9 @@
 //! * **Deterministic when enabled.** Every recorded quantity is a pure
 //!   function of *virtual* time and workload structure (post/completion
 //!   clocks, message sizes, waitall widths), never of thread interleaving —
-//!   so a metrics dump is bit-identical across `ExecPolicy::threads()`,
-//!   `ExecPolicy::bounded(w)` for any `w`, and any sweep-pool width. The
+//!   so a metrics dump is bit-identical at any execution slot count (the
+//!   default one per rank or `ExecPolicy::bounded(w)` for any `w`) and any
+//!   sweep-pool width. The
 //!   interleaving-dependent *physical* counters (unexpected-queue high
 //!   water, matcher scan steps, mailbox locks, scheduler slot occupancy)
 //!   live in [`crate::RankStats`] / [`SchedStats`] instead and are never
@@ -247,7 +248,7 @@ impl RankMetrics {
     }
 }
 
-/// Physical occupancy counters from the bounded scheduler. These depend on
+/// Physical occupancy counters from the scheduler. These depend on
 /// wall-clock interleaving and are reported for tuning only — never part of
 /// deterministic profile output.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::model::CostModel;
 use crate::time::Time;
@@ -170,75 +170,6 @@ pub struct Envelope {
     pub send_done: Arc<Completion>,
 }
 
-/// A one-shot completion cell carrying a virtual completion time.
-#[derive(Debug, Default)]
-pub struct Completion {
-    state: Mutex<CompletionState>,
-    cv: Condvar,
-}
-
-#[derive(Debug, Default)]
-struct CompletionState {
-    done: Option<Time>,
-    /// Bounded-engine single-wake registration: the rank parked on this
-    /// cell, woken through the scheduler with a slot already granted.
-    waiter: Option<crate::sched::Waiter>,
-}
-
-impl Completion {
-    pub fn new() -> Arc<Self> {
-        Arc::new(Completion::default())
-    }
-
-    /// Mark complete at `t`. Idempotent (keeps the first value).
-    pub fn set(&self, t: Time) {
-        let mut g = self.state.lock();
-        if g.done.is_some() {
-            return;
-        }
-        g.done = Some(t);
-        let waiter = g.waiter.take();
-        if waiter.is_none() {
-            self.cv.notify_all();
-        }
-        drop(g);
-        if let Some(w) = waiter {
-            w.wake(t);
-        }
-    }
-
-    /// Physically block until complete; returns the virtual completion time.
-    /// Under a bounded scheduler the caller's execution slot is yielded
-    /// while parked and handed back with the wake (single-wake protocol,
-    /// see [`crate::sched`]).
-    pub fn wait(&self) -> Time {
-        let mut g = self.state.lock();
-        if let Some(t) = g.done {
-            return t;
-        }
-        if let Some(w) = crate::sched::yield_slot() {
-            debug_assert!(g.waiter.is_none(), "two ranks waiting one completion");
-            g.waiter = Some(w);
-            drop(g);
-            crate::sched::park_self();
-            self.state
-                .lock()
-                .done
-                .expect("rank woken before completion")
-        } else {
-            while g.done.is_none() {
-                self.cv.wait(&mut g);
-            }
-            g.done.unwrap()
-        }
-    }
-
-    /// Non-blocking poll.
-    pub fn poll(&self) -> Option<Time> {
-        self.state.lock().done
-    }
-}
-
 /// Everything the receiver learns when its receive completes.
 #[derive(Debug, Clone)]
 pub struct RecvDone {
@@ -254,69 +185,61 @@ pub struct RecvDone {
     pub tag: i32,
 }
 
-/// Receive-side completion cell.
-#[derive(Debug, Default)]
-pub struct RecvSlot {
-    state: Mutex<RecvState>,
-    cv: Condvar,
+/// A one-shot completion cell: the value a request completes with, and the
+/// single-wake registration of the one rank that may wait for it.
+#[derive(Debug)]
+pub struct OneShot<T> {
+    state: Mutex<(Option<T>, Option<crate::sched::Waiter>)>,
 }
 
-#[derive(Debug, Default)]
-struct RecvState {
-    done: Option<RecvDone>,
-    /// Bounded-engine single-wake registration (see [`Completion`]).
-    waiter: Option<crate::sched::Waiter>,
-}
+/// Send-side completion: the virtual time the send buffer is reusable.
+pub type Completion = OneShot<Time>;
 
-impl RecvSlot {
+/// Receive-side completion: the delivered message.
+pub type RecvSlot = OneShot<RecvDone>;
+
+impl<T: Clone> OneShot<T> {
     pub fn new() -> Arc<Self> {
-        Arc::new(RecvSlot::default())
+        Arc::new(OneShot {
+            state: Mutex::new((None, None)),
+        })
     }
 
-    pub fn set(&self, done: RecvDone) {
+    /// Complete with `value`, waking the waiting rank (if any) with the
+    /// completion's virtual time `at`. Idempotent: keeps the first value,
+    /// and returns whether this call set it.
+    pub fn set(&self, value: T, at: Time) -> bool {
         let mut g = self.state.lock();
-        debug_assert!(g.done.is_none(), "receive completed twice");
-        let t = done.completion;
-        g.done = Some(done);
-        let waiter = g.waiter.take();
-        if waiter.is_none() {
-            self.cv.notify_all();
+        if g.0.is_some() {
+            return false;
         }
+        g.0 = Some(value);
+        let waiter = g.1.take();
         drop(g);
         if let Some(w) = waiter {
-            w.wake(t);
+            w.wake(at);
         }
+        true
     }
 
-    /// Physically block until the matching message has been delivered.
-    /// Under a bounded scheduler the caller's execution slot is yielded
-    /// while parked and handed back with the wake (single-wake protocol,
-    /// see [`crate::sched`]).
-    pub fn wait(&self) -> RecvDone {
+    /// Physically block until complete. The caller's execution slot is
+    /// yielded while parked and handed back with the wake (single-wake
+    /// protocol, see [`crate::sched`]).
+    pub fn wait(&self) -> T {
         let mut g = self.state.lock();
-        if let Some(done) = g.done.clone() {
-            return done;
+        if let Some(v) = &g.0 {
+            return v.clone();
         }
-        if let Some(w) = crate::sched::yield_slot() {
-            debug_assert!(g.waiter.is_none(), "two ranks waiting one receive");
-            g.waiter = Some(w);
-            drop(g);
-            crate::sched::park_self();
-            self.state
-                .lock()
-                .done
-                .clone()
-                .expect("rank woken before delivery")
-        } else {
-            while g.done.is_none() {
-                self.cv.wait(&mut g);
-            }
-            g.done.clone().unwrap()
-        }
+        debug_assert!(g.1.is_none(), "two ranks waiting one request");
+        g.1 = Some(crate::sched::yield_slot());
+        drop(g);
+        crate::sched::park_self();
+        self.poll().expect("rank woken before completion")
     }
 
-    pub fn poll(&self) -> Option<RecvDone> {
-        self.state.lock().done.clone()
+    /// Non-blocking poll.
+    pub fn poll(&self) -> Option<T> {
+        self.state.lock().0.clone()
     }
 }
 
@@ -425,25 +348,36 @@ mod tests {
     fn completion_cell_roundtrip() {
         let c = Completion::new();
         assert!(c.poll().is_none());
-        c.set(Time(42));
+        c.set(Time(42), Time(42));
         assert_eq!(c.poll(), Some(Time(42)));
         assert_eq!(c.wait(), Time(42));
         // Idempotent: second set keeps the first value.
-        c.set(Time(99));
+        c.set(Time(99), Time(99));
         assert_eq!(c.wait(), Time(42));
+    }
+
+    #[test]
+    #[should_panic(expected = "not a simulated rank")]
+    fn blocking_off_a_rank_thread_panics() {
+        // Nothing completes this cell, and no scheduler could wake a
+        // thread that is not a rank: fail loudly instead of hanging.
+        Completion::new().wait();
     }
 
     #[test]
     fn recv_slot_roundtrip() {
         let s = RecvSlot::new();
         assert!(s.poll().is_none());
-        s.set(RecvDone {
-            payload: Bytes::from_static(b"hi"),
-            completion: Time(7),
-            unexpected: false,
-            src: 3,
-            tag: 9,
-        });
+        s.set(
+            RecvDone {
+                payload: Bytes::from_static(b"hi"),
+                completion: Time(7),
+                unexpected: false,
+                src: 3,
+                tag: 9,
+            },
+            Time(7),
+        );
         let d = s.wait();
         assert_eq!(&d.payload[..], b"hi");
         assert_eq!(d.completion, Time(7));

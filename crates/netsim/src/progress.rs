@@ -1,6 +1,5 @@
 //! Live progress telemetry: an opt-in snapshot channel over the running
-//! simulation, driving the `--watch` stall watchdog on long bounded-engine
-//! runs.
+//! simulation, driving the `--watch` stall watchdog on long runs.
 //!
 //! Design rules, mirroring the metrics registry:
 //!
@@ -9,7 +8,7 @@
 //!   enabled) a handful of `Relaxed` atomic stores. No locks, no
 //!   allocation.
 //! * **Snapshots read state, they never write it.** The watcher thread only
-//!   loads atomics (and the bounded scheduler's stats, which take a mutex
+//!   loads atomics (and the scheduler's stats, which take a mutex
 //!   the rank threads also take — but only around *physical* bookkeeping).
 //!   Virtual time is owned by the rank threads and never touched from the
 //!   watcher, so enabling `--watch` cannot perturb any virtual-time
@@ -115,7 +114,7 @@ impl ProgressBoard {
 
     /// Read a consistent-enough snapshot (per-cell loads are individually
     /// atomic; cross-rank skew is inherent and fine for a watchdog).
-    pub fn snapshot(&self, sched: Option<SchedStats>) -> Snapshot {
+    pub fn snapshot(&self, sched: SchedStats) -> Snapshot {
         Snapshot {
             ranks: self
                 .cells
@@ -150,14 +149,14 @@ pub struct RankProgress {
     pub state: u8,
 }
 
-/// A progress snapshot: per-rank observations plus (under the bounded
-/// engine) the scheduler's physical slot-occupancy counters. The `ranks`
-/// vector of the post-run snapshot is deterministic and engine-invariant;
-/// `sched` is physical and excluded from any determinism claim.
+/// A progress snapshot: per-rank observations plus the scheduler's
+/// physical slot-occupancy counters. The `ranks` vector of the post-run
+/// snapshot is deterministic and invariant across slot counts; `sched` is
+/// physical and excluded from any determinism claim.
 #[derive(Clone, Debug)]
 pub struct Snapshot {
     pub ranks: Vec<RankProgress>,
-    pub sched: Option<SchedStats>,
+    pub sched: SchedStats,
 }
 
 impl Snapshot {
@@ -217,12 +216,9 @@ impl WatchState {
         }
         let (min_rank, min_lvt) = snap.min_lvt();
         let max_lvt = snap.ranks.iter().map(|r| r.lvt_ns).max().unwrap_or(0);
-        let sched = match snap.sched {
-            Some(s) => format!(" slots={}/{} parks={}", s.max_occupied, s.slots, s.parks),
-            None => String::new(),
-        };
+        let s = snap.sched;
         eprintln!(
-            "[watch {:6.1}s] lvt min={}ns (rank {}) max={}ns done={}/{} blocked={}{}",
+            "[watch {:6.1}s] lvt min={}ns (rank {}) max={}ns done={}/{} blocked={} slots={}/{} parks={}",
             self.started.elapsed().as_secs_f64(),
             min_lvt,
             min_rank,
@@ -230,7 +226,9 @@ impl WatchState {
             done,
             snap.ranks.len(),
             blocked,
-            sched,
+            s.max_occupied,
+            s.slots,
+            s.parks,
         );
         for r in &snap.ranks {
             if r.state == STATE_DONE || self.flagged[r.rank] {
@@ -256,7 +254,7 @@ impl WatchState {
 /// caller signals through `stop` and then joins.
 pub(crate) fn spawn_watcher(
     board: Arc<ProgressBoard>,
-    sched: Option<Arc<crate::sched::Scheduler>>,
+    sched: Arc<crate::sched::Scheduler>,
     cfg: WatchCfg,
     stop: Arc<std::sync::atomic::AtomicBool>,
 ) -> std::thread::JoinHandle<()> {
@@ -271,7 +269,7 @@ pub(crate) fn spawn_watcher(
                 since_line += tick;
                 if since_line.as_millis() as u64 >= cfg.interval_ms {
                     since_line = std::time::Duration::ZERO;
-                    state.tick(&board.snapshot(sched.as_ref().map(|s| s.stats())));
+                    state.tick(&board.snapshot(sched.stats()));
                 }
             }
         })
@@ -290,7 +288,7 @@ mod tests {
         b.on_block(0, 200, 0);
         b.on_finish(0, 250);
         b.on_finish(1, 80);
-        let s = b.snapshot(None);
+        let s = b.snapshot(SchedStats::default());
         assert_eq!(s.ranks[0].lvt_ns, 250);
         assert_eq!(s.ranks[0].blocks, 2);
         assert_eq!(s.ranks[0].state, STATE_DONE);
@@ -311,11 +309,11 @@ mod tests {
             },
         );
         // stall_ms=0: the rank is immediately "stalled"; the flag latches.
-        w.tick(&b.snapshot(None));
+        w.tick(&b.snapshot(SchedStats::default()));
         assert!(w.flagged[0]);
         // LVT advance clears the flag.
         b.on_block(0, 20, 0);
-        w.tick(&b.snapshot(None));
+        w.tick(&b.snapshot(SchedStats::default()));
         assert!(w.flagged[0], "re-flagged at stall_ms=0 after reset");
     }
 }

@@ -1,5 +1,6 @@
 //! The SPMD rank runtime: spawns one OS thread per simulated rank, each
-//! owning a virtual clock and a handle to the shared [`Fabric`].
+//! owning a virtual clock and a handle to the shared [`Fabric`], and runs
+//! them through the scheduler's execution slots ([`crate::sched`]).
 //!
 //! Clock-charging policy lives here. Crucially, the *physical* completion of
 //! an operation (data delivered) is decoupled from the *virtual* cost of
@@ -37,49 +38,26 @@ pub struct SimConfig {
     /// based; see [`crate::metrics`]). Off by default: every hook is a
     /// single branch when disabled.
     pub metrics: bool,
-    /// Stack size per rank thread in bytes.
-    pub stack_size: usize,
-    /// Execution engine: `None` runs thread-per-rank (every rank OS-runnable
-    /// at once); `Some(n)` runs the bounded cooperative scheduler with `n`
-    /// worker slots (`0` = auto: `min(nranks, available_parallelism)`).
-    /// Results are bit-identical either way — virtual time, not execution
-    /// order, defines the output (see [`crate::sched`]).
-    pub workers: Option<usize>,
-    /// Eager-vs-rendezvous protocol threshold override in bytes for the
-    /// MPI cost model (`None` keeps the machine model's constant). A
-    /// first-class tuning knob: messages at or below the threshold ship
-    /// eagerly; larger ones pay the rendezvous handshake. SHMEM puts never
-    /// rendezvous, so the SHMEM model is left untouched.
-    pub eager_threshold: Option<usize>,
-    /// Run the one-sided race sanitizer ([`crate::sanitize`]): shadow-tag
-    /// every symmetric-segment access and report conflicting unordered
-    /// pairs. Off by default: every hook is a single branch when disabled.
-    pub sanitize: bool,
     /// Collect live progress telemetry ([`crate::progress`]) and attach the
     /// deterministic post-run snapshot to [`SimResult::progress`]. Off by
     /// default: every hook is a single branch when disabled.
     pub progress: bool,
-    /// Run the `--watch` stall watchdog: a reader thread that periodically
-    /// snapshots the progress board and prints progress / stall lines to
-    /// stderr. Implies `progress`. Snapshots only read state, so all
-    /// deterministic outputs are bit-identical with the watchdog on.
-    pub watch: Option<WatchCfg>,
+    /// Engine and protocol settings: execution slots, rank stack size,
+    /// eager threshold, race sanitizer, stall watchdog.
+    pub exec: ExecPolicy,
 }
 
 impl SimConfig {
-    /// A Gemini-like machine with `nranks` ranks and tracing off.
+    /// A Gemini-like machine with `nranks` ranks, tracing off, and the
+    /// default [`ExecPolicy`].
     pub fn new(nranks: usize) -> Self {
         SimConfig {
             nranks,
             machine: MachineModel::default(),
             trace: false,
             metrics: false,
-            stack_size: 1 << 20,
-            workers: None,
-            eager_threshold: None,
-            sanitize: false,
             progress: false,
-            watch: None,
+            exec: ExecPolicy::default(),
         }
     }
 
@@ -101,31 +79,6 @@ impl SimConfig {
         self
     }
 
-    /// Use the bounded cooperative scheduler with `n` worker slots
-    /// (`0` = auto: `min(nranks, available_parallelism)`).
-    pub fn with_workers(mut self, n: usize) -> Self {
-        self.workers = Some(n);
-        self
-    }
-
-    /// Use a specific per-rank stack size in bytes.
-    pub fn with_stack_size(mut self, bytes: usize) -> Self {
-        self.stack_size = bytes;
-        self
-    }
-
-    /// Override the MPI eager-vs-rendezvous threshold in bytes.
-    pub fn with_eager_threshold(mut self, bytes: usize) -> Self {
-        self.eager_threshold = Some(bytes);
-        self
-    }
-
-    /// Enable the one-sided race sanitizer.
-    pub fn with_sanitize(mut self) -> Self {
-        self.sanitize = true;
-        self
-    }
-
     /// Collect progress telemetry (deterministic post-run snapshot, no
     /// watchdog thread).
     pub fn with_progress(mut self) -> Self {
@@ -133,55 +86,41 @@ impl SimConfig {
         self
     }
 
-    /// Run the `--watch` stall watchdog (implies progress collection).
-    pub fn with_watch(mut self, cfg: WatchCfg) -> Self {
-        self.watch = Some(cfg);
-        self
-    }
-
-    /// Apply an [`ExecPolicy`] (engine + stack size + protocol knobs) to
-    /// this configuration.
+    /// Run under `exec` (engine + stack size + protocol knobs).
     pub fn with_exec(mut self, exec: ExecPolicy) -> Self {
-        self.workers = exec.workers;
-        if let Some(bytes) = exec.stack_size {
-            self.stack_size = bytes;
-        }
-        if exec.eager_threshold.is_some() {
-            self.eager_threshold = exec.eager_threshold;
-        }
-        if exec.sanitize {
-            self.sanitize = true;
-        }
-        if exec.watch.is_some() {
-            self.watch = exec.watch;
-        }
+        self.exec = exec;
         self
     }
 }
 
-/// Engine selection a caller can thread through higher layers (experiment
-/// drivers, bench binaries) without rebuilding a [`SimConfig`] by hand.
+/// Engine and protocol settings a caller can thread through higher layers
+/// (experiment drivers, bench binaries) without rebuilding a [`SimConfig`]
+/// by hand.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecPolicy {
-    /// See [`SimConfig::workers`].
+    /// Execution slots of the scheduler ([`crate::sched`]): `None` (the
+    /// default) gives every rank its own slot; `Some(n)` gates execution
+    /// to `n` slots (`0` = auto: `min(nranks, available_parallelism)`).
+    /// Results are bit-identical at any slot count — virtual time, not
+    /// execution order, defines the output.
     pub workers: Option<usize>,
-    /// Per-rank stack size override in bytes.
+    /// Per-rank stack size in bytes (`None`: 1 MiB).
     pub stack_size: Option<usize>,
-    /// See [`SimConfig::eager_threshold`].
+    /// MPI eager-vs-rendezvous threshold override in bytes (`None` keeps
+    /// the machine model's): larger messages pay the rendezvous handshake.
+    /// SHMEM puts never rendezvous, so the SHMEM model is left untouched.
     pub eager_threshold: Option<usize>,
-    /// See [`SimConfig::sanitize`].
+    /// Run the one-sided race sanitizer ([`crate::sanitize`]). Off by
+    /// default: every hook is a single branch when disabled.
     pub sanitize: bool,
-    /// See [`SimConfig::watch`].
+    /// Run the `--watch` stall watchdog ([`crate::progress`]); implies
+    /// [`SimConfig::progress`]. It only reads state, so every deterministic
+    /// output is bit-identical with it on.
     pub watch: Option<WatchCfg>,
 }
 
 impl ExecPolicy {
-    /// The thread-per-rank engine (the default).
-    pub fn threads() -> Self {
-        ExecPolicy::default()
-    }
-
-    /// The bounded cooperative scheduler with `n` worker slots (`0` = auto).
+    /// Gate execution to `n` worker slots (`0` = auto).
     pub fn bounded(workers: usize) -> Self {
         ExecPolicy {
             workers: Some(workers),
@@ -226,16 +165,16 @@ pub struct SimResult<T> {
     pub stats: Vec<RankStats>,
     /// Per-rank deterministic metrics, if enabled.
     pub metrics: Option<Vec<RankMetrics>>,
-    /// Bounded-scheduler slot-occupancy counters (physical,
-    /// interleaving-dependent); present only when the bounded engine ran.
+    /// Scheduler slot-occupancy counters (physical, interleaving-
+    /// dependent). Always present.
     pub sched: Option<SchedStats>,
     /// The event trace, if enabled.
     pub trace: Option<Vec<TraceEvent>>,
     /// The race sanitizer's report, if enabled.
     pub sanitize: Option<SanitizeReport>,
     /// The deterministic post-run progress snapshot, if progress telemetry
-    /// (or `--watch`) was enabled. `ranks` is engine-invariant; `sched` is
-    /// physical.
+    /// (or `--watch`) was enabled. `ranks` is invariant across slot
+    /// counts; `sched` is physical.
     pub progress: Option<Snapshot>,
 }
 
@@ -259,38 +198,34 @@ impl<T> SimResult<T> {
 ///
 /// Panics in any rank are propagated (with the rank id) after all other
 /// ranks have been joined or also panicked.
-pub fn run<T, F>(cfg: SimConfig, body: F) -> SimResult<T>
+pub fn run<T, F>(mut cfg: SimConfig, body: F) -> SimResult<T>
 where
     T: Send,
     F: Fn(&mut RankCtx) -> T + Sync,
 {
     assert!(cfg.nranks > 0, "need at least one rank");
-    let mut cfg = cfg;
-    if let Some(bytes) = cfg.eager_threshold {
+    let exec = cfg.exec;
+    if let Some(bytes) = exec.eager_threshold {
         cfg.machine.mpi.eager_threshold = bytes;
     }
-    let cfg = cfg;
     let fabric = Fabric::new(cfg.nranks);
-    let sink = if cfg.trace {
-        Some(Arc::new(TraceSink::new()))
-    } else {
-        None
-    };
-    let sanitizer = cfg.sanitize.then(|| Arc::new(Sanitizer::new(cfg.nranks)));
-    let sched = cfg.workers.map(|w| {
-        let auto = std::thread::available_parallelism()
+    let sink = cfg.trace.then(|| Arc::new(TraceSink::new()));
+    let sanitizer = exec.sanitize.then(|| Arc::new(Sanitizer::new(cfg.nranks)));
+    let slots = match exec.workers {
+        None => cfg.nranks,
+        Some(0) => std::thread::available_parallelism()
             .map(|p| p.get())
-            .unwrap_or(1);
-        let w = if w == 0 { auto } else { w };
-        Scheduler::new(cfg.nranks, w.min(cfg.nranks))
-    });
+            .unwrap_or(1),
+        Some(w) => w,
+    };
+    let sched = Scheduler::new(cfg.nranks, slots);
     let board =
-        (cfg.progress || cfg.watch.is_some()).then(|| Arc::new(ProgressBoard::new(cfg.nranks)));
+        (cfg.progress || exec.watch.is_some()).then(|| Arc::new(ProgressBoard::new(cfg.nranks)));
     let watch_stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let watcher = cfg.watch.map(|wcfg| {
+    let watcher = exec.watch.map(|wcfg| {
         crate::progress::spawn_watcher(
             Arc::clone(board.as_ref().expect("watch implies board")),
-            sched.clone(),
+            Arc::clone(&sched),
             wcfg,
             Arc::clone(&watch_stop),
         )
@@ -305,7 +240,7 @@ where
         for rank in 0..cfg.nranks {
             let fabric = Arc::clone(&fabric);
             let sink = sink.clone();
-            let sched = sched.clone();
+            let sched = Arc::clone(&sched);
             let machine = cfg.machine;
             let nranks = cfg.nranks;
             let metrics_on = cfg.metrics;
@@ -313,13 +248,13 @@ where
             let board = board.clone();
             let builder = std::thread::Builder::new()
                 .name(format!("rank-{rank}"))
-                .stack_size(cfg.stack_size);
+                .stack_size(exec.stack_size.unwrap_or(1 << 20));
             let handle = builder
                 .spawn_scoped(scope, move || {
-                    // Under the bounded engine, acquire an execution slot
-                    // before running the body and release it on drop (even
-                    // on unwind, so a panicking rank can't strand the pool).
-                    let _slot = sched.map(|s| crate::sched::RankSlot::enter(s, rank));
+                    // Acquire an execution slot before running the body and
+                    // release it on drop (even on unwind, so a panicking
+                    // rank can't strand the pool).
+                    let _slot = crate::sched::RankSlot::enter(sched, rank);
                     let mut ctx = RankCtx {
                         rank,
                         nranks,
@@ -385,7 +320,7 @@ where
     if let Some(h) = watcher {
         let _ = h.join();
     }
-    let sched_stats = sched.map(|s| s.stats());
+    let sched_stats = sched.stats();
     let progress = board.map(|b| b.snapshot(sched_stats));
 
     SimResult {
@@ -393,7 +328,7 @@ where
         final_times,
         stats,
         metrics,
-        sched: sched_stats,
+        sched: Some(sched_stats),
         trace: sink.map(|s| s.take()),
         sanitize: sanitizer.map(|s| {
             Arc::into_inner(s)
@@ -463,7 +398,7 @@ impl RankCtx {
         &self.fabric
     }
 
-    /// Report the current clock to the bounded scheduler (slot-queue
+    /// Report the current clock to the scheduler (slot-queue
     /// priority hint) ahead of an operation that may physically park.
     #[inline]
     fn note_block(&self) {
@@ -1195,19 +1130,22 @@ mod tests {
 
     #[test]
     fn sanitizer_clean_on_signalled_put_wait_read() {
-        let res = run(uniform_cfg(2).with_sanitize(), |ctx| {
-            let m = ctx.machine().shmem;
-            let seg = ctx.sym_alloc(&[0, 1], 64, &m);
-            if ctx.rank() == 0 {
-                ctx.put(seg, 1, 0, &[42u8; 8], &m, true);
-                ctx.quiet(&m);
-            } else {
-                let arrival = ctx.wait_signals_raw(seg, 1);
-                ctx.advance_to(arrival);
-                let mut out = [0u8; 8];
-                ctx.read_local(seg, 0, &mut out);
-            }
-        });
+        let res = run(
+            uniform_cfg(2).with_exec(ExecPolicy::default().with_sanitize()),
+            |ctx| {
+                let m = ctx.machine().shmem;
+                let seg = ctx.sym_alloc(&[0, 1], 64, &m);
+                if ctx.rank() == 0 {
+                    ctx.put(seg, 1, 0, &[42u8; 8], &m, true);
+                    ctx.quiet(&m);
+                } else {
+                    let arrival = ctx.wait_signals_raw(seg, 1);
+                    ctx.advance_to(arrival);
+                    let mut out = [0u8; 8];
+                    ctx.read_local(seg, 0, &mut out);
+                }
+            },
+        );
         let report = res.sanitize.as_ref().expect("sanitizer enabled");
         assert_eq!(report.conflicts_found(), 0);
         assert!(report.race_checks >= 2, "put + read were both checked");
@@ -1218,16 +1156,19 @@ mod tests {
 
     #[test]
     fn sanitizer_flags_overlapping_unordered_puts() {
-        let res = run(uniform_cfg(3).with_sanitize(), |ctx| {
-            let m = ctx.machine().shmem;
-            let seg = ctx.sym_alloc(&[0, 1, 2], 64, &m);
-            if ctx.rank() < 2 {
-                // Both rank 0 and rank 1 blindly put into rank 2's window.
-                ctx.put(seg, 2, 0, &[ctx.rank() as u8; 8], &m, false);
-                ctx.quiet(&m);
-            }
-            ctx.barrier(&m);
-        });
+        let res = run(
+            uniform_cfg(3).with_exec(ExecPolicy::default().with_sanitize()),
+            |ctx| {
+                let m = ctx.machine().shmem;
+                let seg = ctx.sym_alloc(&[0, 1, 2], 64, &m);
+                if ctx.rank() < 2 {
+                    // Both rank 0 and rank 1 blindly put into rank 2's window.
+                    ctx.put(seg, 2, 0, &[ctx.rank() as u8; 8], &m, false);
+                    ctx.quiet(&m);
+                }
+                ctx.barrier(&m);
+            },
+        );
         let report = res.sanitize.as_ref().expect("sanitizer enabled");
         assert_eq!(report.conflicts_found(), 1);
         assert!(
@@ -1245,20 +1186,23 @@ mod tests {
     fn sanitizer_flags_unwaited_read_and_put_from_source_reuse() {
         // Rank 0 rewrites its staged source before quiet (CI011); rank 1
         // reads the landing zone without waiting for the signal (CI012).
-        let res = run(uniform_cfg(2).with_sanitize(), |ctx| {
-            let m = ctx.machine().shmem;
-            let seg = ctx.sym_alloc(&[0, 1], 64, &m);
-            if ctx.rank() == 0 {
-                ctx.write_local(seg, 32, &[7u8; 8]);
-                ctx.put_from(seg, 1, 0, 32, 8, &m, true);
-                ctx.write_local(seg, 32, &[9u8; 8]); // before quiet: CI011
-                ctx.quiet(&m);
-            } else {
-                let mut out = [0u8; 8];
-                ctx.read_local(seg, 0, &mut out); // no wait: CI012
-                ctx.wait_signals_raw(seg, 1);
-            }
-        });
+        let res = run(
+            uniform_cfg(2).with_exec(ExecPolicy::default().with_sanitize()),
+            |ctx| {
+                let m = ctx.machine().shmem;
+                let seg = ctx.sym_alloc(&[0, 1], 64, &m);
+                if ctx.rank() == 0 {
+                    ctx.write_local(seg, 32, &[7u8; 8]);
+                    ctx.put_from(seg, 1, 0, 32, 8, &m, true);
+                    ctx.write_local(seg, 32, &[9u8; 8]); // before quiet: CI011
+                    ctx.quiet(&m);
+                } else {
+                    let mut out = [0u8; 8];
+                    ctx.read_local(seg, 0, &mut out); // no wait: CI012
+                    ctx.wait_signals_raw(seg, 1);
+                }
+            },
+        );
         let report = res.sanitize.as_ref().expect("sanitizer enabled");
         let codes = report.codes();
         assert!(codes.contains("CI011"), "codes: {codes:?}");
@@ -1324,9 +1268,9 @@ mod tests {
     }
 
     #[test]
-    fn bounded_engine_matches_thread_per_rank() {
+    fn bounded_engine_matches_default() {
         // A mixed workload (p2p, barrier, one-sided put/signal) must produce
-        // bit-identical results under every engine and worker count.
+        // bit-identical results at every slot count.
         let body = |ctx: &mut RankCtx| {
             let m = ctx.machine().mpi;
             let shm = ctx.machine().shmem;
@@ -1348,10 +1292,45 @@ mod tests {
         };
         let reference = run(uniform_cfg(6), body);
         for workers in [1usize, 2, 5, 64] {
-            let res = run(uniform_cfg(6).with_workers(workers), body);
+            let res = run(uniform_cfg(6).with_exec(ExecPolicy::bounded(workers)), body);
             assert_eq!(res.final_times, reference.final_times, "workers={workers}");
             assert_eq!(res.per_rank, reference.per_rank, "workers={workers}");
         }
+    }
+
+    #[test]
+    fn flow_control_and_back_to_back_allocs_match_across_slot_counts() {
+        // Rank 0's signalled puts into rank 1's window-1 segment park until
+        // rank 1 consumes; every rank makes back-to-back symmetric allocs.
+        // Both waits must terminate on one slot and on the default, with
+        // identical clocks and counters.
+        const PUTS: usize = 6;
+        let body = |ctx: &mut RankCtx| {
+            let shm = ctx.machine().shmem;
+            let group: Vec<usize> = (0..ctx.nranks()).collect();
+            let seg = ctx.sym_alloc_windowed(&group, 8, 1, &shm);
+            let more: Vec<SegId> = (0..3).map(|_| ctx.sym_alloc(&group, 8, &shm)).collect();
+            if ctx.rank() == 0 {
+                for k in 0..PUTS {
+                    ctx.put(seg, 1, 0, &[k as u8; 8], &shm, true);
+                }
+                ctx.quiet(&shm);
+            } else if ctx.rank() == 1 {
+                for k in 1..=PUTS {
+                    let arrival = ctx.wait_signals_raw(seg, k);
+                    ctx.advance_to(arrival);
+                    ctx.mark_consumed(seg, 1);
+                }
+            }
+            ctx.barrier(&shm);
+            (ctx.now(), seg, more)
+        };
+        let reference = run(uniform_cfg(3), body);
+        let one = run(uniform_cfg(3).with_exec(ExecPolicy::bounded(1)), body);
+        assert_eq!(one.final_times, reference.final_times);
+        assert_eq!(one.per_rank, reference.per_rank);
+        assert_eq!(one.stats, reference.stats);
+        assert_eq!(reference.stats[0].puts, PUTS);
     }
 
     #[test]
@@ -1360,7 +1339,9 @@ mod tests {
         // sender must yield so the receiver can run.
         let mut machine = MachineModel::default();
         machine.mpi.eager_threshold = 0; // force rendezvous for every message
-        let cfg = SimConfig::new(4).with_machine(machine).with_workers(1);
+        let cfg = SimConfig::new(4)
+            .with_machine(machine)
+            .with_exec(ExecPolicy::bounded(1));
         let res = run(cfg, |ctx| {
             let m = ctx.machine().mpi;
             if ctx.rank() == 0 {
@@ -1379,7 +1360,7 @@ mod tests {
     fn eager_threshold_config_overrides_model() {
         // The same 4 KiB message is eager under the default Gemini model
         // (threshold 8 KiB) and pays the rendezvous handshake once the
-        // SimConfig knob pulls the threshold below the message size.
+        // ExecPolicy knob pulls the threshold below the message size.
         let elapsed = |cfg: SimConfig| {
             run(cfg, |ctx| {
                 let m = ctx.machine().mpi;
@@ -1393,15 +1374,12 @@ mod tests {
             .makespan()
         };
         let eager = elapsed(SimConfig::new(2));
-        let rdv = elapsed(SimConfig::new(2).with_eager_threshold(1024));
+        let rdv =
+            elapsed(SimConfig::new(2).with_exec(ExecPolicy::default().with_eager_threshold(1024)));
         assert!(
             rdv > eager,
             "rendezvous {rdv:?} must cost more than {eager:?}"
         );
-        // ExecPolicy carries the knob through with_exec unchanged.
-        let via_exec =
-            elapsed(SimConfig::new(2).with_exec(ExecPolicy::threads().with_eager_threshold(1024)));
-        assert_eq!(via_exec, rdv);
     }
 
     #[test]
@@ -1409,7 +1387,7 @@ mod tests {
     fn bounded_engine_panic_releases_slot() {
         // The panicking rank's slot must be released so the others finish
         // and the panic propagates instead of deadlocking the pool.
-        run(uniform_cfg(4).with_workers(1), |ctx| {
+        run(uniform_cfg(4).with_exec(ExecPolicy::bounded(1)), |ctx| {
             let m = ctx.machine().mpi;
             ctx.barrier(&m);
             if ctx.rank() == 1 {
@@ -1421,8 +1399,8 @@ mod tests {
 
     #[test]
     fn many_ranks_scale() {
-        // Smoke test that the thread-per-rank runtime handles Fig-3-scale
-        // rank counts.
+        // Smoke test that the default one-slot-per-rank engine handles
+        // Fig-3-scale rank counts.
         let res = run(SimConfig::new(97), |ctx| {
             let m = ctx.machine().mpi;
             ctx.barrier(&m);

@@ -1,7 +1,7 @@
 //! Shadow-state race sanitizer for one-sided communication (the dynamic
 //! half of commrace).
 //!
-//! Opt-in like metrics ([`crate::SimConfig::with_sanitize`]): every access
+//! Opt-in like metrics ([`crate::ExecPolicy::with_sanitize`]): every access
 //! to a symmetric-segment byte range — put delivery, put source read, get,
 //! local load/store — is tagged with the accessor's rank, epoch
 //! (full-barrier count), site, and synchronization snapshots, and checked

@@ -1,27 +1,23 @@
-//! Bounded cooperative scheduling: an admission gate that multiplexes rank
-//! bodies over a fixed pool of execution slots.
+//! The execution engine: an admission gate that multiplexes rank bodies
+//! over a pool of execution slots.
 //!
-//! The thread-per-rank engine makes every rank OS-runnable at once; past a
-//! few hundred ranks the kernel scheduler round-robins threads that mostly
-//! just contend fabric locks and park again. The bounded engine keeps one OS
-//! thread per rank (each rank body needs its own stack — it may block
-//! anywhere inside user code), but gates *execution*: at most `workers` ranks
-//! hold a slot at any instant. Every physically-blocking primitive in the
-//! fabric brackets its sleep with [`pre_block`]/[`post_block`], so a rank
-//! that is about to park on a condvar first yields its slot, and on wake
-//! re-queues for one. Slots are granted least-virtual-time-first, the
-//! conservative-PDES order: the rank whose clock is furthest behind is the
-//! one most likely to unblock others.
+//! Every rank runs on its own OS thread (each rank body needs its own stack
+//! — it may block anywhere inside user code), but *execution* is gated: at
+//! most `workers` ranks hold a slot at any instant. The default gives every
+//! rank a slot; fewer slots keep a run of thousands of ranks from making
+//! the kernel round-robin threads that mostly contend fabric locks and park
+//! again. Slots are granted least-virtual-time-first, the conservative-PDES
+//! order: the rank whose clock is furthest behind is the one most likely to
+//! unblock others.
 //!
-//! Hot-path waits use the stronger *single-wake* protocol: the waiter
-//! yields its slot ([`yield_slot`]), registers the returned [`Waiter`]
-//! handle in the fabric object it is waiting on, and parks once
+//! Every blocking point in the fabric uses one *single-wake* protocol: the
+//! waiter yields its slot ([`yield_slot`]), registers the returned
+//! [`Waiter`] handle in the fabric object it is waiting on, and parks once
 //! ([`park_self`]). The completing rank hands the handle back to the
 //! scheduler ([`Waiter::wake`]) with the completion's virtual time, which
 //! marks the rank runnable LVT-first. The parked thread wakes exactly once,
-//! already holding an execution slot — instead of waking on the fabric
-//! condvar only to park again on the admission gate (two kernel round-trips
-//! and a transient extra runnable thread per blocking op).
+//! already holding an execution slot. A blocked rank is therefore always
+//! parked in the scheduler, never on a fabric-private condvar.
 //!
 //! Two invariants make this safe and deterministic:
 //!
@@ -30,18 +26,18 @@
 //!   waiter (no thundering herd); the free count only grows when nobody is
 //!   waiting. Both transitions happen under one lock, so a rank can never
 //!   park while a slot sits idle.
-//! * **Lock discipline**: [`pre_block`]/[`yield_slot`] (slot release —
-//!   never blocks) may be called while holding a fabric lock, but
-//!   [`post_block`]/[`park_self`] (slot acquire — may park) must only be
-//!   called with no fabric lock held. Condvar waits release their mutex
-//!   while parked, and plain mutex holders never park, so a slot-holder can
-//!   always make progress: no cycle between the admission gate and fabric
-//!   locks is possible.
+//! * **Lock discipline**: [`yield_slot`] (slot release — never blocks) may
+//!   be called while holding a fabric lock, and must be, so the waiter is
+//!   registered under the same lock hold that saw the wait predicate false.
+//!   [`park_self`] (may park) must only be called with no fabric lock held.
+//!   Plain mutex holders never park, so a slot-holder can always make
+//!   progress: no cycle between the admission gate and fabric locks is
+//!   possible.
 //!
 //! Determinism is *not* a property of the schedule: completion times are
 //! computed from virtual quantities only (see `msg::match_timing`), so any
-//! interleaving — thread-per-rank, one worker, or many — produces
-//! bit-identical results. LVT-first is purely a wall-clock optimization.
+//! interleaving — one slot, a few, or one per rank — produces bit-identical
+//! results. LVT-first is purely a wall-clock optimization.
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
@@ -207,12 +203,15 @@ impl Scheduler {
     }
 }
 
-/// Identity of a gated rank that yielded its slot to wait for a completion.
+/// Identity of a rank that yielded its slot to wait for a completion.
 /// The completing thread hands it back to the scheduler via [`Waiter::wake`]
 /// so the parked rank wakes exactly once — already holding a slot.
 pub(crate) struct Waiter {
     sched: Arc<Scheduler>,
     rank: usize,
+    /// The rank's last noted clock when it yielded: its slot-queue priority
+    /// for completers that carry no virtual time of their own.
+    clock: Time,
 }
 
 impl Waiter {
@@ -220,6 +219,13 @@ impl Waiter {
     /// `clock` (its slot-queue priority). Never blocks.
     pub(crate) fn wake(self, clock: Time) {
         self.sched.make_ready(self.rank, clock);
+    }
+
+    /// [`Waiter::wake`] at the clock the rank noted before it parked, for
+    /// completions that are not timed (allocations, flow-control credit).
+    pub(crate) fn wake_at_own_clock(self) {
+        let clock = self.clock;
+        self.wake(clock);
     }
 }
 
@@ -229,10 +235,9 @@ impl std::fmt::Debug for Waiter {
     }
 }
 
-/// Thread-local identity of the rank driving this OS thread, when it runs
-/// under a bounded scheduler. Blocking primitives anywhere in the crate
-/// consult this to yield/reacquire their slot — including raw request waits
-/// issued by layers above `RankCtx`.
+/// Thread-local identity of the rank driving this OS thread. Blocking
+/// primitives anywhere in the crate consult this to yield/reacquire their
+/// slot — including raw request waits issued by layers above `RankCtx`.
 struct Current {
     sched: Arc<Scheduler>,
     rank: usize,
@@ -284,48 +289,36 @@ pub(crate) fn note_clock(t: Time) {
     });
 }
 
-/// About to park on a condvar: yield the execution slot. No-op outside a
-/// bounded-scheduler rank thread. Safe to call with fabric locks held.
-#[inline]
-pub(crate) fn pre_block() {
-    CURRENT.with(|c| {
-        if let Some(cur) = &*c.borrow() {
-            cur.sched.release();
-        }
-    });
-}
-
-/// Woke from a condvar park: reacquire an execution slot. No-op outside a
-/// bounded-scheduler rank thread. Must be called with **no** fabric lock
-/// held (it may park on the admission gate).
-#[inline]
-pub(crate) fn post_block() {
-    CURRENT.with(|c| {
-        if let Some(cur) = &*c.borrow() {
-            cur.sched.acquire(cur.rank, cur.clock.get());
-        }
-    });
+/// Run `f` on the calling thread's rank registration. A wait only reaches
+/// here once its predicate is false, so outside a rank it could never be
+/// woken: fail loudly instead of hanging.
+fn with_current<R>(f: impl FnOnce(&Current) -> R) -> R {
+    CURRENT.with(|c| match &*c.borrow() {
+        Some(cur) => f(cur),
+        None => panic!(
+            "netsim: a blocking wait on a thread that is not a simulated rank \
+             (block only inside netsim::run)"
+        ),
+    })
 }
 
 /// Begin a single-wake wait: yield the caller's slot and return the handle
 /// a completer must later [`Waiter::wake`]. Safe to call with fabric locks
-/// held (never blocks). Returns `None` outside a bounded-scheduler rank
-/// thread — callers fall back to a plain condvar wait.
+/// held (never blocks). Panics on a thread that is not a rank.
 ///
 /// The caller must register the handle (under the same lock hold that
 /// established the wait predicate is false), drop its locks, and then
 /// [`park_self`]. Registering under one continuous lock hold is what makes
 /// the protocol race-free: the completer cannot observe-and-miss the waiter.
 #[inline]
-pub(crate) fn yield_slot() -> Option<Waiter> {
-    CURRENT.with(|c| {
-        c.borrow().as_ref().map(|cur| {
-            cur.sched.release();
-            Waiter {
-                sched: Arc::clone(&cur.sched),
-                rank: cur.rank,
-            }
-        })
+pub(crate) fn yield_slot() -> Waiter {
+    with_current(|cur| {
+        cur.sched.release();
+        Waiter {
+            sched: Arc::clone(&cur.sched),
+            rank: cur.rank,
+            clock: cur.clock.get(),
+        }
     })
 }
 
@@ -334,11 +327,7 @@ pub(crate) fn yield_slot() -> Option<Waiter> {
 /// awaited predicate is true. Must be called with **no** fabric lock held.
 #[inline]
 pub(crate) fn park_self() {
-    CURRENT.with(|c| {
-        if let Some(cur) = &*c.borrow() {
-            cur.sched.park(cur.rank);
-        }
-    });
+    with_current(|cur| cur.sched.park(cur.rank));
 }
 
 #[cfg(test)]

@@ -37,6 +37,16 @@ fn src_span(s: Span) -> SrcSpan {
     }
 }
 
+/// The deepest expression the parser accepts. Depth counts every operator,
+/// comparison, unary operator and parenthesis on the path from a clause's
+/// root to its deepest leaf. The parser recurses once per parenthesis and
+/// unary operator, and the analyses (evaluation, normal forms, printing,
+/// drop) recurse once per tree level, so this one bound keeps all of them
+/// far from the end of a thread's stack, whatever the input. The deepest
+/// shipped spec or fixture nests 5 levels (`sendwhen((rank+1)%n == 0)`-like
+/// shapes); 64 leaves hand-written pragmas ample room.
+pub const MAX_EXPR_DEPTH: usize = 64;
+
 /// Buffer declarations: name → (element kind, length in elements).
 #[derive(Clone, Debug, Default)]
 pub struct SymbolTable {
@@ -189,6 +199,8 @@ pub fn parse(src: &str, symbols: &SymbolTable) -> Result<Parsed, ParseError> {
         buf_addr_cursor: 0x1000,
         buf_addrs: HashMap::new(),
         site_counter: 0,
+        nest: 0,
+        too_deep: false,
     };
     let mut items = Vec::new();
     while !p.at(&Tok::Eof) {
@@ -208,6 +220,9 @@ pub fn parse(src: &str, symbols: &SymbolTable) -> Result<Parsed, ParseError> {
     })
 }
 
+/// Builds a binary operator's node from its operands.
+type Join<T> = fn(T, T) -> T;
+
 struct Parser<'s> {
     toks: Vec<Token>,
     pos: usize,
@@ -218,6 +233,12 @@ struct Parser<'s> {
     buf_addr_cursor: usize,
     buf_addrs: HashMap<String, (usize, usize)>,
     site_counter: u32,
+    /// Parentheses and unary operators around the current token: the
+    /// parser's own recursion depth inside an expression.
+    nest: usize,
+    /// Set once an expression exceeded [`MAX_EXPR_DEPTH`]: no other reading
+    /// of the same tokens nests less, so backtracking must not retry.
+    too_deep: bool,
 }
 
 impl Parser<'_> {
@@ -571,66 +592,96 @@ impl Parser<'_> {
     }
 
     // -- expressions -------------------------------------------------------------
+    //
+    // The inner productions return the depth of the tree they built, so a
+    // left-deep chain (`a+a+…`) is bounded as well as nesting.
 
+    /// Reject a subtree `depth` levels deep if it exceeds the limit.
+    fn fit(&mut self, depth: usize) -> Result<usize, ParseError> {
+        if depth > MAX_EXPR_DEPTH || self.nest > MAX_EXPR_DEPTH {
+            self.too_deep = true;
+            return Err(self.err(format!(
+                "expression nests deeper than {MAX_EXPR_DEPTH} levels"
+            )));
+        }
+        Ok(depth)
+    }
+
+    /// Parse one nesting level down (inside a parenthesis or under a
+    /// unary operator); the result is one level deeper than `inner`'s.
+    fn nested<T>(
+        &mut self,
+        inner: impl FnOnce(&mut Self) -> Result<(T, usize), ParseError>,
+    ) -> Result<(T, usize), ParseError> {
+        self.nest += 1;
+        let r = self.fit(0).and_then(|_| inner(self));
+        self.nest -= 1;
+        let (v, depth) = r?;
+        Ok((v, self.fit(depth + 1)?))
+    }
+
+    /// A left-associative chain `next (op next)*`, where `op` maps a token
+    /// to the node it builds (`None` ends the chain). Each operator is one
+    /// level above both operands, so a long flat chain is deep.
+    fn chain<T>(
+        &mut self,
+        next: fn(&mut Self) -> Result<(T, usize), ParseError>,
+        op: fn(&Tok) -> Option<Join<T>>,
+    ) -> Result<(T, usize), ParseError> {
+        let (mut lhs, mut depth) = next(self)?;
+        while let Some(build) = op(self.peek()) {
+            self.bump();
+            let (rhs, d) = next(self)?;
+            depth = self.fit(depth.max(d) + 1)?;
+            lhs = build(lhs, rhs);
+        }
+        Ok((lhs, depth))
+    }
+
+    /// A rank expression (clause argument or buffer index).
     fn expr(&mut self) -> Result<RankExpr, ParseError> {
-        let mut lhs = self.term()?;
-        loop {
-            match self.peek() {
-                Tok::Plus => {
-                    self.bump();
-                    lhs = lhs + self.term()?;
-                }
-                Tok::Minus => {
-                    self.bump();
-                    lhs = lhs - self.term()?;
-                }
-                _ => return Ok(lhs),
-            }
-        }
+        Ok(self.sum()?.0)
     }
 
-    fn term(&mut self) -> Result<RankExpr, ParseError> {
-        let mut lhs = self.factor()?;
-        loop {
-            match self.peek() {
-                Tok::Star => {
-                    self.bump();
-                    lhs = lhs * self.factor()?;
-                }
-                Tok::Slash => {
-                    self.bump();
-                    lhs = lhs / self.factor()?;
-                }
-                Tok::Percent => {
-                    self.bump();
-                    lhs = lhs % self.factor()?;
-                }
-                _ => return Ok(lhs),
-            }
-        }
+    fn sum(&mut self) -> Result<(RankExpr, usize), ParseError> {
+        self.chain(Self::term, |t| match t {
+            Tok::Plus => Some(|a, b| a + b),
+            Tok::Minus => Some(|a, b| a - b),
+            _ => None,
+        })
     }
 
-    fn factor(&mut self) -> Result<RankExpr, ParseError> {
+    fn term(&mut self) -> Result<(RankExpr, usize), ParseError> {
+        self.chain(Self::factor, |t| match t {
+            Tok::Star => Some(|a, b| a * b),
+            Tok::Slash => Some(|a, b| a / b),
+            Tok::Percent => Some(|a, b| a % b),
+            _ => None,
+        })
+    }
+
+    fn factor(&mut self) -> Result<(RankExpr, usize), ParseError> {
         match self.peek().clone() {
             Tok::Minus => {
                 self.bump();
-                Ok(-self.factor()?)
+                self.nested(|p| p.factor().map(|(e, d)| (-e, d)))
             }
             Tok::Int(v) => {
                 self.bump();
-                Ok(RankExpr::Const(v))
+                Ok((RankExpr::Const(v), 1))
             }
             Tok::Ident(name) => {
                 self.bump();
-                Ok(match name.as_str() {
+                let leaf = match name.as_str() {
                     "rank" => RankExpr::Rank,
                     "nprocs" | "nranks" => RankExpr::NRanks,
                     _ => RankExpr::Var(name),
-                })
+                };
+                Ok((leaf, 1))
             }
             Tok::LParen => {
                 self.bump();
-                let e = self.expr()?;
+                let e = self.nested(|p| p.sum())?;
                 self.expect(&Tok::RParen)?;
                 Ok(e)
             }
@@ -640,36 +691,33 @@ impl Parser<'_> {
 
     // -- conditions ----------------------------------------------------------------
 
+    /// A condition (`sendwhen`/`receivewhen`/`groupwhen` argument).
     fn cond(&mut self) -> Result<CondExpr, ParseError> {
-        let mut lhs = self.cond_and()?;
-        while self.at(&Tok::OrOr) {
-            self.bump();
-            lhs = lhs.or(self.cond_and()?);
-        }
-        Ok(lhs)
+        Ok(self.disj()?.0)
     }
 
-    fn cond_and(&mut self) -> Result<CondExpr, ParseError> {
-        let mut lhs = self.cond_primary()?;
-        while self.at(&Tok::AndAnd) {
-            self.bump();
-            lhs = lhs.and(self.cond_primary()?);
-        }
-        Ok(lhs)
+    fn disj(&mut self) -> Result<(CondExpr, usize), ParseError> {
+        self.chain(Self::conj, |t| (*t == Tok::OrOr).then_some(CondExpr::or))
     }
 
-    fn cond_primary(&mut self) -> Result<CondExpr, ParseError> {
+    fn conj(&mut self) -> Result<(CondExpr, usize), ParseError> {
+        self.chain(Self::cond_primary, |t| {
+            (*t == Tok::AndAnd).then_some(CondExpr::and)
+        })
+    }
+
+    fn cond_primary(&mut self) -> Result<(CondExpr, usize), ParseError> {
         if self.at(&Tok::Bang) {
             self.bump();
-            return Ok(self.cond_primary()?.not());
+            return self.nested(|p| p.cond_primary().map(|(c, d)| (c.not(), d)));
         }
         // '(' is ambiguous: try parenthesized condition, fall back to
         // arithmetic comparison.
         if self.at(&Tok::LParen) {
             let save = self.pos;
             self.bump();
-            if let Ok(inner) = self.cond() {
-                if self.at(&Tok::RParen) {
+            match self.nested(|p| p.disj()) {
+                Ok(inner) if self.at(&Tok::RParen) => {
                     self.bump();
                     // Could continue as a comparison of a parenthesized
                     // *expression*; only accept if next is a boolean
@@ -681,13 +729,16 @@ impl Parser<'_> {
                         return Ok(inner);
                     }
                 }
+                Err(e) if self.too_deep => return Err(e),
+                _ => {}
             }
             self.pos = save;
         }
-        let lhs = self.expr()?;
+        let (lhs, l) = self.sum()?;
         let op = self.bump();
-        let rhs = self.expr()?;
-        Ok(match op {
+        let (rhs, r) = self.sum()?;
+        let depth = self.fit(l.max(r) + 1)?;
+        let c = match op {
             Tok::EqEq => lhs.eq(rhs),
             Tok::NotEq => lhs.ne(rhs),
             Tok::Lt => lhs.lt(rhs),
@@ -695,7 +746,8 @@ impl Parser<'_> {
             Tok::Gt => lhs.gt(rhs),
             Tok::Ge => lhs.ge(rhs),
             other => return Err(self.err(format!("expected comparison operator, found {other}"))),
-        })
+        };
+        Ok((c, depth))
     }
 }
 
@@ -963,5 +1015,37 @@ mod tests {
             panic!()
         };
         assert!(!p2.has_overlap_body);
+    }
+
+    #[test]
+    fn deep_expressions_are_parse_errors() {
+        // The three shapes that used to overflow the stack: nested parens,
+        // a flat left-deep chain, and nested `!(`.
+        let n = 200_000;
+        for (clause, open, leaf, close) in [
+            ("sender", "(", "rank", ")"),
+            ("sender", "rank+", "rank", ""),
+            ("sendwhen", "!(", "rank==0", ")"),
+        ] {
+            let (open, close) = (open.repeat(n), close.repeat(n));
+            let src = format!("#pragma comm_p2p {clause}({open}{leaf}{close}) receiver(b)");
+            let err = parse(&src, &symbols()).expect_err("nesting limit");
+            assert!(err.message.contains("nests deeper than"), "{err}");
+            assert_eq!(err.span.line, 1);
+        }
+    }
+
+    #[test]
+    fn expression_depth_limit_is_exact() {
+        // `rank` is one level and every `+rank` adds one.
+        let at = |levels: usize| {
+            let src = format!(
+                "#pragma comm_p2p sender(rank{}) receiver(b)",
+                "+rank".repeat(levels - 1)
+            );
+            parse(&src, &symbols())
+        };
+        assert!(at(MAX_EXPR_DEPTH).is_ok());
+        assert!(at(MAX_EXPR_DEPTH + 1).is_err());
     }
 }

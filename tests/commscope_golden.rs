@@ -1,8 +1,8 @@
 //! Golden-file tests for the commscope exporters: the Chrome trace and the
 //! profile JSON for each figure workload match the committed goldens
 //! byte-for-byte, and both artifacts are byte-identical across execution
-//! engines (thread-per-rank vs bounded at several widths) — the exports are
-//! pure functions of virtual time.
+//! slot counts (the default one per rank vs bounded at several widths) —
+//! the exports are pure functions of virtual time.
 //!
 //! Regenerate goldens after an intentional output change with
 //! `BLESS=1 cargo test -p integration --test commscope_golden`.
@@ -83,7 +83,7 @@ fn check_golden(name: &str, text: &str) {
 }
 
 fn check_figure(fig: &str) {
-    let (trace, profile) = exports(fig, ExecPolicy::threads());
+    let (trace, profile) = exports(fig, ExecPolicy::default());
 
     // The Chrome trace is well-formed JSON with a traceEvents array.
     let doc = json::parse(&trace).unwrap_or_else(|e| panic!("{fig}: trace unparsable: {e}"));
@@ -93,7 +93,7 @@ fn check_figure(fig: &str) {
     );
 
     // Engine invariance: bounded at width 1 and at the host's width must
-    // reproduce the thread-per-rank exports byte-for-byte.
+    // reproduce the default engine's exports byte-for-byte.
     let ncpu = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(2);

@@ -58,7 +58,7 @@ fn fig4_profile(exec: ExecPolicy) -> Json {
 
 #[test]
 fn fig4_profile_to_overlay_matches_golden() {
-    let profile = fig4_profile(ExecPolicy::threads());
+    let profile = fig4_profile(ExecPolicy::default());
     let overlay = tune(&profile, &TuneOptions::default()).expect("tune fig4 profile");
 
     // The WL→privileged scatter (site 11, 4 pieces of 24B per receiver per
@@ -100,7 +100,7 @@ fn stale_overlay_rejected_with_exit_3() {
     std::fs::create_dir_all(&dir).unwrap();
 
     // A current-schema overlay validates cleanly (exit 0).
-    let profile = fig4_profile(ExecPolicy::threads());
+    let profile = fig4_profile(ExecPolicy::default());
     let overlay = tune(&profile, &TuneOptions::default()).unwrap();
     let good = dir.join("good.overlay.json");
     std::fs::write(&good, overlay_to_json(&overlay).render()).unwrap();
@@ -139,21 +139,21 @@ fn stale_overlay_rejected_with_exit_3() {
 
 #[test]
 fn tuned_fig4_beats_untuned_with_identical_physics() {
-    let profile = fig4_profile(ExecPolicy::threads());
+    let profile = fig4_profile(ExecPolicy::default());
     let overlay = tune(&profile, &TuneOptions::default()).unwrap();
 
     let base = fig4_spin_tuned(
         &topo(),
         SpinVariant::DirectiveMpi2,
         STEPS,
-        ExecPolicy::threads(),
+        ExecPolicy::default(),
         None,
     );
     let tuned = fig4_spin_tuned(
         &topo(),
         SpinVariant::DirectiveMpi2,
         STEPS,
-        ExecPolicy::threads(),
+        ExecPolicy::default(),
         Some(&overlay),
     );
     assert!(base.correct, "baseline payloads verified");

@@ -1,8 +1,8 @@
 //! Engine equivalence: every virtual quantity — makespans, per-step times,
-//! operation counters — must be bit-identical between the thread-per-rank
-//! engine and the bounded scheduler at any worker count. Only wall time may
-//! differ; completion times are computed from virtual clocks alone, so the
-//! execution engine is unobservable in the results.
+//! operation counters — must be bit-identical between the default engine
+//! (one execution slot per rank) and any smaller slot count. Only wall time
+//! may differ; completion times are computed from virtual clocks alone, so
+//! the slot count is unobservable in the results.
 
 use netsim::ExecPolicy;
 use wl_lsms::{
@@ -40,10 +40,10 @@ fn det(m: &Measurement) -> (u64, bool, [usize; 14]) {
 
 fn engines() -> Vec<(&'static str, ExecPolicy)> {
     vec![
-        ("threads", ExecPolicy::threads()),
         ("bounded(1)", ExecPolicy::bounded(1)),
         ("bounded(2)", ExecPolicy::bounded(2)),
         ("bounded(auto)", ExecPolicy::bounded(0)),
+        ("bounded(all)", ExecPolicy::bounded(usize::MAX)),
     ]
 }
 
@@ -57,7 +57,7 @@ fn fig4_identical_across_engines_at_paper_counts() {
             SpinVariant::DirectiveMpi2,
             SpinVariant::DirectiveShmem,
         ] {
-            let reference = det(&fig4_spin_exec(&topo, variant, 2, ExecPolicy::threads()));
+            let reference = det(&fig4_spin_exec(&topo, variant, 2, ExecPolicy::default()));
             assert!(reference.1, "{variant:?} failed validation at m={m}");
             for (name, exec) in engines() {
                 let got = det(&fig4_spin_exec(&topo, variant, 2, exec));
@@ -82,7 +82,7 @@ fn fig3_identical_across_engines() {
             &topo,
             variant,
             AtomSizes::default(),
-            ExecPolicy::threads(),
+            ExecPolicy::default(),
         ));
         assert!(reference.1, "{variant:?} failed validation");
         for (name, exec) in engines() {
@@ -108,7 +108,7 @@ fn fig5_identical_across_engines() {
             cparams,
             AtomSizes::default(),
             2,
-            ExecPolicy::threads(),
+            ExecPolicy::default(),
         ));
         for (name, exec) in engines() {
             let got = det(&fig5_overlap_exec(

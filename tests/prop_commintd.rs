@@ -184,12 +184,14 @@ proptest! {
 
     /// Every frame, however mangled, gets a response that is itself JSON:
     /// garbage is answered with an `ok: false` frame, never a panic or a
-    /// stack overflow. Each edit is (kind, position, byte, depth).
+    /// stack overflow. Each edit is (kind, position, byte, depth); kind 4
+    /// turns the frame into a valid analyze request whose source carries a
+    /// `depth`-deep pragma expression.
     #[test]
     fn hostile_frames_always_get_a_json_response(
         seed in any::<usize>(),
         edits in proptest::collection::vec(
-            (0u8..4, any::<usize>(), any::<u8>(), 1usize..=200_000),
+            (0u8..5, any::<usize>(), any::<u8>(), 1usize..=200_000),
             1..=3,
         ),
     ) {
@@ -205,9 +207,21 @@ proptest! {
                         *b = byte;
                     }
                 }
-                _ => {
+                3 => {
                     let open: &[u8] = if byte % 2 == 0 { b"[" } else { b"{\"a\":" };
                     frame.splice(at..at, open.repeat(depth));
+                }
+                _ => {
+                    // Nested parens, a flat `+` chain, or nested `!(`.
+                    let (open, close) = [("(", ")"), ("rank+", ""), ("!(", ")")][byte as usize % 3];
+                    let src = format!(
+                        "{}#pragma comm_p2p sendwhen({}rank==0{}) receivewhen(rank==1) \
+                         sender(rank) receiver(rank)\n",
+                        spec_src(&[8], 0),
+                        open.repeat(depth),
+                        close.repeat(depth)
+                    );
+                    frame = request_json("analyze", 7, "p.comm", &src).into_bytes();
                 }
             }
         }

@@ -143,10 +143,10 @@ proptest! {
         rounds in proptest::collection::vec(round_strategy(), 1..5),
     ) {
         let ncpu = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2);
-        let reference = run_script(nranks, &rounds, ExecPolicy::threads(), None);
+        let reference = run_script(nranks, &rounds, ExecPolicy::default(), None);
         let keep = overlay_for(&rounds, false);
         for workers in [0usize, 1, ncpu] {
-            let exec = if workers == 0 { ExecPolicy::threads() } else { ExecPolicy::bounded(workers) };
+            let exec = if workers == 0 { ExecPolicy::default() } else { ExecPolicy::bounded(workers) };
             let got = run_script(nranks, &rounds, exec, Some(keep.clone()));
             prop_assert_eq!(
                 &reference, &got,
@@ -162,9 +162,9 @@ proptest! {
         nranks in 2usize..=5,
         rounds in proptest::collection::vec(round_strategy(), 1..5),
     ) {
-        let baseline = run_script(nranks, &rounds, ExecPolicy::threads(), None);
+        let baseline = run_script(nranks, &rounds, ExecPolicy::default(), None);
         let ov = overlay_for(&rounds, true);
-        let tuned = run_script(nranks, &rounds, ExecPolicy::threads(), Some(ov.clone()));
+        let tuned = run_script(nranks, &rounds, ExecPolicy::default(), Some(ov.clone()));
         for (r, (b, t)) in baseline.iter().zip(&tuned).enumerate() {
             prop_assert_eq!(b.0, t.0, "rank {} delivered bytes changed on {:?}", r, rounds);
             prop_assert_eq!(b.1, t.1, "rank {} payload content changed on {:?}", r, rounds);

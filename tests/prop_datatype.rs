@@ -271,7 +271,7 @@ mod lowering_differential {
                     LoweringPolicy::AlwaysPack,
                     LoweringPolicy::AlwaysDatatype,
                 ] {
-                    for exec in [ExecPolicy::threads(), ExecPolicy::bounded(2)] {
+                    for exec in [ExecPolicy::default(), ExecPolicy::bounded(2)] {
                         let got = ring(l, target, policy, exec, seed, n);
                         // Within a target: every policy and engine agrees.
                         match &per_target {

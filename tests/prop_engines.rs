@@ -1,8 +1,8 @@
 //! Property tests: randomized mixed workloads (two-sided p2p, collectives,
 //! one-sided signalled puts) produce identical virtual results under the
-//! thread-per-rank engine and the bounded scheduler at every worker count.
-//! This is the bounded engine's core contract: scheduling order may change
-//! wall-clock execution, never the simulation.
+//! default engine (one execution slot per rank) and at every smaller slot
+//! count. This is the scheduler's core contract: scheduling order may
+//! change wall-clock execution, never the simulation.
 
 use netsim::{run, ExecPolicy, RankStats, SimConfig, SrcSel, TagSel};
 use proptest::prelude::*;
@@ -133,12 +133,12 @@ proptest! {
         rounds in proptest::collection::vec(round_strategy(), 1..6),
     ) {
         let ncpu = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2);
-        let reference = run_script(nranks, &rounds, ExecPolicy::threads());
+        let reference = run_script(nranks, &rounds, ExecPolicy::default());
         for workers in [1usize, 2, ncpu] {
             let got = run_script(nranks, &rounds, ExecPolicy::bounded(workers));
             prop_assert_eq!(
                 &reference, &got,
-                "bounded({}) diverged from threads on {:?}", workers, rounds
+                "bounded({}) diverged from the default on {:?}", workers, rounds
             );
         }
     }

@@ -144,7 +144,7 @@ proptest! {
         nranks in 2usize..=5,
         rounds in proptest::collection::vec(round_strategy(), 1..6),
     ) {
-        let (trace, metrics, finals) = run_observed(nranks, &rounds, ExecPolicy::threads());
+        let (trace, metrics, finals) = run_observed(nranks, &rounds, ExecPolicy::default());
         let analysis = analyze(&trace, nranks, &finals);
         check_invariants(&analysis, nranks)?;
         // The backward walk consumes each event at most once.

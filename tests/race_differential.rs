@@ -249,8 +249,8 @@ fn sweep(exec: &ExecPolicy) -> (usize, usize) {
 }
 
 #[test]
-fn corpus_agrees_under_thread_engine() {
-    let (clean, racy) = sweep(&ExecPolicy::threads());
+fn corpus_agrees_under_default_engine() {
+    let (clean, racy) = sweep(&ExecPolicy::default());
     // Both populations must actually be exercised or the test is vacuous.
     assert!(clean >= 20, "only {clean} clean programs in the corpus");
     assert!(racy >= 20, "only {racy} racy programs in the corpus");
@@ -263,7 +263,7 @@ fn corpus_agrees_under_bounded_engine() {
     assert!(racy >= 20, "only {racy} racy programs in the corpus");
 }
 
-/// The two engines see identical sanitizer totals on the same program:
+/// Every slot count sees identical sanitizer totals on the same program:
 /// race_checks is program-determined and the conflict count is
 /// interleaving-invariant inside the fragment.
 #[test]
@@ -271,7 +271,7 @@ fn engines_agree_on_sanitizer_totals() {
     let mut rng = Rng(SplitMix64(SEED ^ 0xDEAD));
     for i in 0..24 {
         let prog = gen_program(&mut rng, i % 2 == 1);
-        let a = sanitize_run(&prog, ExecPolicy::threads());
+        let a = sanitize_run(&prog, ExecPolicy::default());
         let b = sanitize_run(&prog, ExecPolicy::bounded(2));
         assert_eq!(a.race_checks, b.race_checks, "program {i}");
         assert_eq!(a.conflicts_found(), b.conflicts_found(), "program {i}");
@@ -405,7 +405,7 @@ fn anchor_programs_classify_as_expected() {
     for (name, prog, want) in cases {
         let want: BTreeSet<&str> = want.iter().copied().collect();
         assert_eq!(static_codes(prog), want, "{name}: static");
-        for exec in [ExecPolicy::threads(), ExecPolicy::bounded(2)] {
+        for exec in [ExecPolicy::default(), ExecPolicy::bounded(2)] {
             let got = sanitize_run(prog, exec).codes();
             assert_eq!(got, want, "{name}: sanitizer");
         }
